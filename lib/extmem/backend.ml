@@ -508,22 +508,13 @@ let faults_injected (Packed ((module B), b)) = B.faults b
      exactly one contiguous inner run per shard. The batched fast path
      (one positioned transfer per device) survives under the stripe.
 
-   Runs big enough to amortize the handoff are dispatched to one worker
-   domain per shard (spawned lazily on first use, joined on [close]);
-   smaller runs and single-block ops execute inline on the caller's
-   domain through the same decomposition, so which mode ran never shows
-   in the logical trace. *)
+   Runs big enough to amortize the handoff fan out across the store's
+   {!Workers} pool, one job per participating shard; smaller runs and
+   single-block ops execute inline on the caller's domain through the
+   same decomposition, so which mode ran never shows in the logical
+   trace. *)
 
 module Sharded = struct
-  type worker = {
-    mu : Mutex.t;
-    cv : Condition.t;
-    mutable job : (unit -> unit) option;
-    mutable result : exn option option;  (** [Some None] = done, [Some (Some e)] = raised. *)
-    mutable stop : bool;
-    mutable dom : unit Domain.t option;
-  }
-
   type nonrec t = {
     k : int;
     inners : t array;
@@ -532,60 +523,13 @@ module Sharded = struct
     mutable len : int;  (** Logical block count (inner sizes are rounded up). *)
     scratch : Bigbuf.t ref array;  (** Per-shard gather/scatter buffers. *)
     ops : int array;  (** Per-shard block ops, tallied by the coordinator. *)
-    workers : worker array;
-    mutable spawned : bool;
+    pool : Workers.t;  (** Borrowed from the store: closing the stripe leaves it open. *)
     mutable closed : bool;
   }
 
   let kind = "sharded"
 
   let payload_bytes t = payload_bytes t.inners.(0)
-
-  (* ---- worker protocol: one mailbox per shard, mutex + condvar.
-     Only the coordinator posts and only worker [s] takes from mailbox
-     [s]; the mutex handoff gives the happens-before edges the OCaml
-     memory model needs for the scratch and caller buffers. ---- *)
-
-  let rec worker_loop w =
-    Mutex.lock w.mu;
-    while w.job = None && not w.stop do
-      Condition.wait w.cv w.mu
-    done;
-    if w.stop then Mutex.unlock w.mu
-    else begin
-      let f = Option.get w.job in
-      Mutex.unlock w.mu;
-      let r = (try f (); None with e -> Some e) in
-      Mutex.lock w.mu;
-      w.job <- None;
-      w.result <- Some r;
-      Condition.signal w.cv;
-      Mutex.unlock w.mu;
-      worker_loop w
-    end
-
-  let spawn_workers t =
-    if not t.spawned then begin
-      t.spawned <- true;
-      Array.iter (fun w -> w.dom <- Some (Domain.spawn (fun () -> worker_loop w))) t.workers
-    end
-
-  let post w f =
-    Mutex.lock w.mu;
-    w.job <- Some f;
-    w.result <- None;
-    Condition.signal w.cv;
-    Mutex.unlock w.mu
-
-  let await w =
-    Mutex.lock w.mu;
-    while w.result = None do
-      Condition.wait w.cv w.mu
-    done;
-    let r = Option.get w.result in
-    w.result <- None;
-    Mutex.unlock w.mu;
-    r
 
   (* ---- the striping map ---- *)
 
@@ -622,14 +566,10 @@ module Sharded = struct
      non-transient exception wins over any transient (it is a bug, not
      weather). Serial and parallel execution share the decomposition, so
      which one ran never shows in the logical trace. *)
-  let dispatch t ~parallel (jobs : (int * (unit -> unit)) array) =
+  let dispatch t ~parallel jobs =
     let outcomes =
-      if parallel && Array.length jobs > 1 then begin
-        spawn_workers t;
-        Array.iter (fun (s, job) -> post t.workers.(s) job) jobs;
-        Array.map (fun (s, _) -> await t.workers.(s)) jobs
-      end
-      else Array.map (fun (_, job) -> (try job (); None with e -> Some e)) jobs
+      if parallel then Workers.run t.pool jobs
+      else Array.map (fun job -> match job () with () -> None | exception e -> Some e) jobs
     in
     let hard = ref None and fault = ref None in
     Array.iter
@@ -699,7 +639,7 @@ module Sharded = struct
                     raise (Transient { addr = logical t s gf; access })
               end
             in
-            jobs := (s, job) :: !jobs)
+            jobs := job :: !jobs)
       done;
       dispatch t
         ~parallel:(t.k > 1 && count >= parallel_threshold t)
@@ -783,19 +723,6 @@ module Sharded = struct
   let close t =
     if not t.closed then begin
       t.closed <- true;
-      if t.spawned then
-        Array.iter
-          (fun w ->
-            Mutex.lock w.mu;
-            w.stop <- true;
-            Condition.signal w.cv;
-            Mutex.unlock w.mu;
-            match w.dom with
-            | Some d ->
-                Domain.join d;
-                w.dom <- None
-            | None -> ())
-          t.workers;
       Array.iter close t.inners
     end
 
@@ -818,8 +745,10 @@ let shard_route ~shards ~seed a =
   let g = a / shards and j = a mod shards in
   (perm.((j + g) mod shards), g)
 
-let sharded ~seed inners =
+let sharded ~seed ~pool inners =
   let k = Array.length inners in
+  if Workers.size pool < k - 1 then
+    invalid_arg "Backend.sharded: the pool needs at least shards - 1 workers";
   if k >= 1 then begin
     let p0 = payload_bytes inners.(0) in
     Array.iter
@@ -838,17 +767,7 @@ let sharded ~seed inners =
       len = Sharded.recover_len inners;
       scratch = Array.init k (fun _ -> ref (Bigbuf.create 0));
       ops = Array.make k 0;
-      workers =
-        Array.init k (fun _ ->
-            {
-              Sharded.mu = Mutex.create ();
-              cv = Condition.create ();
-              job = None;
-              result = None;
-              stop = false;
-              dom = None;
-            });
-      spawned = false;
+      pool;
       closed = false;
     }
   in

@@ -207,10 +207,10 @@ val faulty : fault_plan -> t -> t
 val faults_injected : t -> int
 (** Total {!Transient} raises so far ([0] for non-faulty backends). *)
 
-val sharded : seed:int -> t array -> t
-(** [sharded ~seed inners] stripes one logical address space across the
-    [K = Array.length inners] inner stores (requires [K >= 1], all with
-    the same payload size). Logical block [a] belongs to group
+val sharded : seed:int -> pool:Workers.t -> t array -> t
+(** [sharded ~seed ~pool inners] stripes one logical address space
+    across the [K = Array.length inners] inner stores (requires
+    [K >= 1], all with the same payload size). Logical block [a] belongs to group
     [g = a / K] and lives on shard [perm((a mod K + g) mod K)] at inner
     address [g], where [perm] is a keyed PRP of the lanes derived from
     [seed] — a bijection, so every group of [K] consecutive logical
@@ -221,14 +221,18 @@ val sharded : seed:int -> t array -> t
     A contiguous logical run decomposes into exactly one contiguous
     inner run per shard (the logical addresses a shard serves are
     strictly increasing in its inner address); runs of at least [2K]
-    blocks are dispatched to one worker domain per shard — spawned
-    lazily on first use and joined on {!close} — while smaller runs and
+    blocks run one job per shard on [pool] (which needs at least
+    [K - 1] workers, else [Invalid_argument]), while smaller runs and
     single-block ops execute inline through the same decomposition, so
-    execution mode never shows in the logical trace. On a mid-run
-    {!Transient} the smallest faulted {e logical} address is re-raised
-    after every shard has run to completion or its own fault: all blocks
-    below it have been transferred (blocks at or above it may have been
-    too — resuming re-transfers them, which is idempotent).
+    execution mode never shows in the logical trace. The pool is
+    borrowed: {!close} closes the inner stores, not the pool.
+
+    On a mid-run {!Transient} the smallest faulted {e logical} address
+    is re-raised after every shard has run to completion or its own
+    fault: all blocks below it have been transferred (blocks at or above
+    it may have been too — resuming re-transfers them, which is
+    idempotent). Any other exception from a shard wins over every
+    {!Transient}.
 
     [ensure n] grows every inner store to [ceil(n / K)] blocks; the
     exact logical length is persisted as an 8-byte prefix of the

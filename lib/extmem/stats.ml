@@ -7,9 +7,9 @@ type snapshot = {
 }
 
 (* Counters are atomics so accounting stays exact if ops are ever tallied
-   off the coordinator domain (the sharded backend and the prefetcher put
-   worker domains under this layer). [last_span] stays plain: spans are a
-   coordinator-only measurement protocol. *)
+   off the coordinator domain (the store's worker pool puts domains under
+   this layer). [last_span] stays plain: spans are a coordinator-only
+   measurement protocol. *)
 type t = {
   r : int Atomic.t;
   w : int Atomic.t;

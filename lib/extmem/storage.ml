@@ -22,63 +22,6 @@ module Telemetry = Odex_telemetry.Telemetry
 
 type cipher_state = { st : Cipher.state; mutable next_nonce : int }
 
-(* ---- the oblivious prefetcher.
-
-   One worker domain fetches the {e next} run's raw payloads into a
-   spare buffer while the coordinator unseals and consumes the current
-   one. The fetch is a physical hint below the accounting layer: nothing
-   is counted, traced or unsealed until the coordinator's own
-   [read_many] asks for exactly that window, at which point the normal
-   per-block trace ops and stats fire as if the bytes had just come off
-   the device — so the logical trace with prefetch on is bit-identical
-   to the trace with it off (pair-tested). Obliviousness is preserved
-   because callers only prefetch windows that are a fixed function of
-   the public scan shape (N, M, B — see Ext_array.iter_runs), never of
-   data.
-
-   Two buffers alternate ([fetch_idx]): the worker fills one while the
-   coordinator drains the other, which is exactly the scan-loop
-   discipline (issue run k+1, consume run k). The protocol assumes a
-   single coordinator — Storage was never reentrant. [dev_mu] serializes
-   every backend access while a prefetcher exists: a faulty backend's
-   access counter must advance race-free. When no prefetcher is attached
-   the device path takes no lock and is byte-for-byte the old one. ---- *)
-
-type prefetcher = {
-  mu : Mutex.t;
-  cv : Condition.t;
-  mutable job : (int * int) option;  (** Posted window, not yet taken. *)
-  mutable inflight : (int * int) option;  (** Window the worker is fetching now. *)
-  mutable busy : bool;
-  mutable ready : (int * int * int) option;  (** (addr, count, buffer index). *)
-  mutable fetch_idx : int;
-  bufs : Bigbuf.t ref array;  (** Two alternating fetch targets. *)
-  mutable stop : bool;
-  mutable dom : unit Domain.t option;
-  dev_mu : Mutex.t;  (** Serializes all backend access while prefetch is on. *)
-}
-
-(* ---- the seal pool: worker domains for parallel run sealing.
-
-   Sealing a run is pure CPU on disjoint stripes of one off-heap buffer
-   — encode the block image, XOR the keystream — with every nonce
-   reserved up front, so fanning the stripes across domains changes
-   which core ran the arithmetic and nothing else: the sealed bytes, the
-   nonce sequence, the trace and the device schedule are bit-identical
-   to the serial seal (pair-tested). One mailbox per worker, mutex +
-   condvar, exactly the {!Backend.Sharded} protocol; workers are spawned
-   lazily on the first run big enough to split and joined on
-   [close]/[abandon]. *)
-
-type seal_worker = {
-  smu : Mutex.t;
-  scv : Condition.t;
-  mutable sjob : (unit -> unit) option;
-  mutable sresult : exn option option;  (** [Some None] = done, [Some (Some e)] = raised. *)
-  mutable sstop : bool;
-  mutable sdom : unit Domain.t option;
-}
-
 (* ---- per-server traces.
 
    Under a [Sharded] spec each shard is a separate adversary: a
@@ -121,11 +64,11 @@ type t = {
   journal : Journal.t option;
       (** The write-ahead journal handle, when the spec has a [Journaled]
           layer — owns the crash-atomicity and checkpoint machinery. *)
-  pf : prefetcher option;
   shard : shard_state option;
   seal_domains : int;
-  seal_workers : seal_worker array;  (** [seal_domains - 1] mailboxes. *)
-  mutable seal_spawned : bool;
+  pool : Workers.t;
+      (** The store's worker domains, shared by run sealing and the
+          stripe: [max seal_domains shards - 1] of them. *)
   seal_buf : Bigbuf.t;  (** One payload: the single-block sealing scratch. *)
   mutable run_buf : Bigbuf.t;  (** Grows to the largest run requested; reused across calls. *)
 }
@@ -147,31 +90,53 @@ let rec shard_member_spec i = function
       invalid_arg "Storage: Journaled inside Sharded is not supported (journal the stripe)"
   | Crashing _ -> invalid_arg "Storage: Crashing inside Sharded is not supported"
 
+(* Release what [instantiate] opened without writing anything: a
+   journal closes its own file and its inner stack. *)
+let release backend journal =
+  match journal with Some j -> Journal.abandon j | None -> Backend.close backend
+
 (* Instantiation returns the backend plus the journal handle when the
    spec tree contains a [Journaled] layer ([resume] decides whether that
-   journal replays its redo log or starts fresh). *)
-let rec instantiate ~payload_size ~engine ~resume ~auto_commit_bytes = function
+   journal replays its redo log or starts fresh). A layer that fails to
+   open closes every store opened beneath it before re-raising. *)
+let rec instantiate ~pool ~payload_size ~engine ~resume ~auto_commit_bytes spec =
+  let sub = instantiate ~pool ~payload_size ~engine ~resume ~auto_commit_bytes in
+  match spec with
   | Mem -> (Backend.mem ~payload_size (), None)
   | File { path } -> (Backend.file ~path ~payload_size, None)
   | Faulty { inner; seed; failure_rate; max_burst } ->
-      let b, j = instantiate ~payload_size ~engine ~resume ~auto_commit_bytes inner in
+      let b, j = sub inner in
       (Backend.faulty { Backend.seed; failure_rate; max_burst } b, j)
   | Crashing { inner; ops } ->
-      let b, j = instantiate ~payload_size ~engine ~resume ~auto_commit_bytes inner in
+      let b, j = sub inner in
       (Backend.crash_after ~ops b, j)
   | Sharded { inner; shards; seed } ->
       if shards < 1 then invalid_arg "Storage: shards must be >= 1";
-      ( Backend.sharded ~seed
-          (Array.init shards (fun i ->
-               fst
-                 (instantiate ~payload_size ~engine ~resume ~auto_commit_bytes
-                    (shard_member_spec i inner)))),
-        None )
+      let opened = ref [] in
+      (match
+         for i = 0 to shards - 1 do
+           opened := fst (sub (shard_member_spec i inner)) :: !opened
+         done
+       with
+      | () -> ()
+      | exception e ->
+          List.iter Backend.close !opened;
+          raise e);
+      (Backend.sharded ~seed ~pool (Array.of_list (List.rev !opened)), None)
   | Journaled { inner; path; durable } ->
-      let b, j = instantiate ~payload_size ~engine ~resume ~auto_commit_bytes inner in
-      if Option.is_some j then invalid_arg "Storage: nested Journaled specs are not supported";
+      let b, j = sub inner in
+      if Option.is_some j then begin
+        release b j;
+        invalid_arg "Storage: nested Journaled specs are not supported"
+      end;
       let journal =
-        Journal.create ?auto_commit_bytes ~engine ~path ~payload_size ~durable ~replay:resume b
+        match
+          Journal.create ?auto_commit_bytes ~engine ~path ~payload_size ~durable ~replay:resume b
+        with
+        | journal -> journal
+        | exception e ->
+            Backend.close b;
+            raise e
       in
       (Journal.backend journal, Some journal)
 
@@ -228,16 +193,7 @@ let build_header t =
   Bytes.set_int64_le m 24 (Cipher.engine_id t.engine);
   m
 
-(* Every path to the device goes through this gate when a prefetcher is
-   attached; without one it is a single match. *)
-let with_dev t f =
-  match t.pf with
-  | None -> f ()
-  | Some p ->
-      Mutex.lock p.dev_mu;
-      Fun.protect ~finally:(fun () -> Mutex.unlock p.dev_mu) f
-
-let write_header t = with_dev t (fun () -> Backend.write_meta t.backend (build_header t))
+let write_header t = Backend.write_meta t.backend (build_header t)
 
 let engine_id_name id =
   match Cipher.engine_of_id id with
@@ -265,8 +221,7 @@ let parse_header ~block_size m =
 
 let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = Trace.Digest)
     ?(backend = Mem) ?(max_retries = 10) ?(backoff = (1e-6, 1e-4)) ?(batching = true)
-    ?(prefetch = false) ?(seal_domains = 1) ?(resume = false) ?journal_auto_commit_bytes
-    ~block_size () =
+    ?(seal_domains = 1) ?(resume = false) ?journal_auto_commit_bytes ~block_size () =
   if block_size < 1 then invalid_arg "Storage.create: block_size must be >= 1";
   if max_retries < 1 then invalid_arg "Storage.create: max_retries must be >= 1";
   if seal_domains < 1 then invalid_arg "Storage.create: seal_domains must be >= 1";
@@ -275,9 +230,19 @@ let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = T
     invalid_arg "Storage.create: backoff must satisfy 0 <= base <= cap";
   let payload_size = 8 + Block.encoded_size block_size in
   let stripe = stripe_of_spec backend in
+  (* One pool serves both run sealing (seal_domains - 1 workers) and the
+     stripe (shards - 1 workers); the two never run at once. *)
+  let shards = match stripe with Some (k, _) -> k | None -> 1 in
+  let pool = Workers.create (max seal_domains shards - 1) in
   let raw, journal =
-    instantiate ~payload_size ~engine:cipher_engine ~resume
-      ~auto_commit_bytes:journal_auto_commit_bytes backend
+    match
+      instantiate ~pool ~payload_size ~engine:cipher_engine ~resume
+        ~auto_commit_bytes:journal_auto_commit_bytes backend
+    with
+    | opened -> opened
+    | exception e ->
+        Workers.close pool;
+        raise e
   in
   let kind = Backend.kind raw in
   let tel = Option.value telemetry ~default:Telemetry.disabled in
@@ -285,8 +250,9 @@ let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = T
      disabled sink leaves the backend — and thus the whole I/O path —
      untouched. *)
   let backend = if Telemetry.enabled tel then Backend.instrument tel raw else raw in
-  let nonce_hw =
+  let stored_nonce_hw () =
     match Backend.read_meta backend with
+    | None -> 0
     | Some m ->
         let hw, engine_id = parse_header ~block_size m in
         if engine_id <> Cipher.engine_id cipher_engine then
@@ -296,7 +262,15 @@ let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = T
                (engine_id_name engine_id)
                (Cipher.engine_name cipher_engine));
         hw
-    | None -> 0
+  in
+  let nonce_hw =
+    match stored_nonce_hw () with
+    | hw -> hw
+    | exception e ->
+        (* A rejected reopen must not leak the descriptors it opened. *)
+        release raw journal;
+        Workers.close pool;
+        raise e
   in
   let t =
     {
@@ -318,26 +292,6 @@ let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = T
       backoff_cap;
       batching;
       journal;
-      pf =
-        (* Prefetch serves whole runs from a buffered fetch, which only
-           makes sense under batching semantics; with batching off it is
-           silently disabled so the per-block degradation stays exact. *)
-        (if prefetch && batching then
-           Some
-             {
-               mu = Mutex.create ();
-               cv = Condition.create ();
-               job = None;
-               inflight = None;
-               busy = false;
-               ready = None;
-               fetch_idx = 0;
-               bufs = [| ref (Bigbuf.create 0); ref (Bigbuf.create 0) |];
-               stop = false;
-               dom = None;
-               dev_mu = Mutex.create ();
-             }
-         else None);
       shard =
         (* Shard traces carry no telemetry sink of their own: phases are
            already timed once, through the logical trace's spans. *)
@@ -347,17 +301,7 @@ let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = T
             { sk = k; sperm; sperm_inv; straces = Array.init k (fun _ -> Trace.create trace_mode) })
           stripe;
       seal_domains;
-      seal_workers =
-        Array.init (seal_domains - 1) (fun _ ->
-            {
-              smu = Mutex.create ();
-              scv = Condition.create ();
-              sjob = None;
-              sresult = None;
-              sstop = false;
-              sdom = None;
-            });
-      seal_spawned = false;
+      pool;
       seal_buf = Bigbuf.create payload_size;
       run_buf = Bigbuf.create 0;
     }
@@ -379,7 +323,6 @@ let scratch_bytes t = Bigbuf.length t.run_buf
 let shard_ios t = Backend.shard_io_counts t.backend
 let shard_count t = Backend.shard_count t.backend
 let shard_traces t = match t.shard with None -> [||] | Some sh -> sh.straces
-let prefetch_enabled t = t.pf <> None
 
 (* Mirror of [Backend.Sharded]'s routing: logical block [a] lives on
    shard [perm.((a mod k + a / k) mod k)] at inner address [a / k]. *)
@@ -420,228 +363,22 @@ let with_span t label f =
         ~finally:(fun () -> Array.iter Trace.span_exit sh.straces)
         (fun () -> Trace.with_span t.trace label f)
 
-(* ---- seal pool workers ---- *)
-
-let rec seal_worker_loop w =
-  Mutex.lock w.smu;
-  while w.sjob = None && not w.sstop do
-    Condition.wait w.scv w.smu
-  done;
-  if w.sstop then Mutex.unlock w.smu
-  else begin
-    let f = Option.get w.sjob in
-    Mutex.unlock w.smu;
-    let r = (try f (); None with e -> Some e) in
-    Mutex.lock w.smu;
-    w.sjob <- None;
-    w.sresult <- Some r;
-    Condition.signal w.scv;
-    Mutex.unlock w.smu;
-    seal_worker_loop w
-  end
-
-let spawn_seal_workers t =
-  if not t.seal_spawned then begin
-    t.seal_spawned <- true;
-    Array.iter
-      (fun w -> w.sdom <- Some (Domain.spawn (fun () -> seal_worker_loop w)))
-      t.seal_workers
-  end
-
-let seal_post w f =
-  Mutex.lock w.smu;
-  w.sjob <- Some f;
-  w.sresult <- None;
-  Condition.signal w.scv;
-  Mutex.unlock w.smu
-
-let seal_await w =
-  Mutex.lock w.smu;
-  while w.sresult = None do
-    Condition.wait w.scv w.smu
-  done;
-  let r = Option.get w.sresult in
-  w.sresult <- None;
-  Mutex.unlock w.smu;
-  r
-
-let stop_seal_workers t =
-  if t.seal_spawned then
-    Array.iter
-      (fun w ->
-        Mutex.lock w.smu;
-        w.sstop <- true;
-        Condition.signal w.scv;
-        Mutex.unlock w.smu;
-        match w.sdom with
-        | Some d ->
-            Domain.join d;
-            w.sdom <- None
-        | None -> ())
-      t.seal_workers
-
 (* Run [f lo hi] over a partition of [0, n) — one contiguous chunk per
-   domain when the run is big enough to split, inline otherwise. All
-   chunks complete (or raise) before this returns; the first exception
-   wins. The partition is a function of [n] and [seal_domains] alone,
-   never of data. *)
+   domain of the store's pool when the run is big enough to split,
+   inline otherwise. All chunks complete (or raise) before this returns;
+   the first exception in chunk order wins. The partition is a function
+   of [n] and [seal_domains] alone, never of data. *)
 let parallel_chunks t n f =
-  if t.seal_domains <= 1 || n < 2 * t.seal_domains then f 0 n
+  let d = t.seal_domains in
+  if d <= 1 || n < 2 * d then f 0 n
   else begin
-    spawn_seal_workers t;
-    let d = t.seal_domains in
     let per = (n + d - 1) / d in
-    for i = 1 to d - 1 do
-      let lo = i * per and hi = min n ((i + 1) * per) in
-      seal_post t.seal_workers.(i - 1) (fun () -> if lo < hi then f lo hi)
-    done;
-    let inline_exn = (try f 0 (min n per); None with e -> Some e) in
-    let worker_exn = ref None in
-    for i = 1 to d - 1 do
-      match seal_await t.seal_workers.(i - 1) with
-      | None -> ()
-      | Some e -> if !worker_exn = None then worker_exn := Some e
-    done;
-    (match inline_exn with Some e -> raise e | None -> ());
-    match !worker_exn with Some e -> raise e | None -> ()
+    Workers.run t.pool
+      (Array.init d (fun i ->
+           let lo = i * per and hi = min n ((i + 1) * per) in
+           fun () -> if lo < hi then f lo hi))
+    |> Array.iter (function Some e -> raise e | None -> ())
   end
-
-(* ---- prefetch worker ---- *)
-
-let pf_loop t p =
-  let rec go () =
-    Mutex.lock p.mu;
-    while p.job = None && not p.stop do
-      Condition.wait p.cv p.mu
-    done;
-    if p.stop then Mutex.unlock p.mu
-    else begin
-      let ((addr, count) as window) = Option.get p.job in
-      p.job <- None;
-      p.busy <- true;
-      p.inflight <- Some window;
-      let idx = p.fetch_idx in
-      let bufr = p.bufs.(idx) in
-      (* Grown under the sink lock: the coordinator only ever reads the
-         other buffer (they alternate, and a ready window is consumed
-         before the next hint is posted). *)
-      let need = count * t.payload_size in
-      if Bigbuf.length !bufr < need then bufr := Bigbuf.create need;
-      let target = !bufr in
-      Mutex.unlock p.mu;
-      let ok =
-        Mutex.lock p.dev_mu;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock p.dev_mu)
-          (fun () ->
-            match
-              Backend.read_run t.backend ~addr ~count ~payload:t.payload_size ~buf:target
-                ~off:0
-            with
-            | () -> true
-            | exception _ ->
-                (* A transient (or anything else) aborts the hint: the
-                   coordinator falls back to the counted path, whose own
-                   retry engine owns fault handling. *)
-                false)
-      in
-      Mutex.lock p.mu;
-      p.busy <- false;
-      p.inflight <- None;
-      if ok then begin
-        p.ready <- Some (addr, count, idx);
-        p.fetch_idx <- 1 - idx
-      end
-      else p.ready <- None;
-      Condition.signal p.cv;
-      Mutex.unlock p.mu;
-      go ()
-    end
-  in
-  go ()
-
-let prefetch t addr n =
-  match t.pf with
-  | None -> ()
-  | Some p ->
-      if n > 0 && addr >= 0 && addr + n <= t.used then begin
-        (match p.dom with
-        | Some _ -> ()
-        | None -> p.dom <- Some (Domain.spawn (fun () -> pf_loop t p)));
-        Mutex.lock p.mu;
-        let covered =
-          (match p.ready with Some (a, c, _) -> a = addr && c = n | None -> false)
-          || (match p.inflight with Some (a, c) -> a = addr && c = n | None -> false)
-          || match p.job with Some (a, c) -> a = addr && c = n | None -> false
-        in
-        (* One outstanding hint: a busy worker means the caller prefetches
-           faster than it consumes, so the new hint is dropped. *)
-        if (not covered) && (not p.busy) && p.job = None then begin
-          p.job <- Some (addr, n);
-          Condition.signal p.cv
-        end;
-        Mutex.unlock p.mu
-      end
-
-(* Take the raw payload buffer for window [addr, n) if it is ready (or
-   about to be: an in-flight fetch is waited out, since in the scan
-   discipline it is the window about to be consumed). Returns with the
-   window cleared — the buffer is valid until the next fetch completes
-   into it, i.e. until two more hints are posted, and the caller unseals
-   it before posting any. *)
-let pf_take t addr n =
-  match t.pf with
-  | None -> None
-  | Some p ->
-      Mutex.lock p.mu;
-      let rec get () =
-        match p.ready with
-        | Some (a, c, idx) when a = addr && c = n ->
-            p.ready <- None;
-            Some !(p.bufs.(idx))
-        | _ ->
-            if p.busy || p.job <> None then begin
-              Condition.wait p.cv p.mu;
-              get ()
-            end
-            else None
-      in
-      let r = get () in
-      Mutex.unlock p.mu;
-      r
-
-(* Drop any buffered or in-flight window overlapping [addr, n): called
-   before every device write, so a later hit can never serve bytes from
-   before the overwrite. Data-independent — it looks only at addresses. *)
-let pf_invalidate t addr n =
-  match t.pf with
-  | None -> ()
-  | Some p ->
-      Mutex.lock p.mu;
-      let overlaps (a, c) = addr < a + c && a < addr + n in
-      (match p.job with Some w when overlaps w -> p.job <- None | _ -> ());
-      while p.busy && (match p.inflight with Some w -> overlaps w | None -> false) do
-        Condition.wait p.cv p.mu
-      done;
-      (match p.ready with Some (a, c, _) when overlaps (a, c) -> p.ready <- None | _ -> ());
-      Mutex.unlock p.mu
-
-let stop_prefetcher t =
-  match t.pf with
-  | None -> ()
-  | Some p -> (
-      match p.dom with
-      | None -> ()
-      | Some d ->
-          Mutex.lock p.mu;
-          while p.busy do
-            Condition.wait p.cv p.mu
-          done;
-          p.stop <- true;
-          Condition.signal p.cv;
-          Mutex.unlock p.mu;
-          Domain.join d;
-          p.dom <- None)
 
 (* Persist the exact counter (not the rounded-up reservation) before the
    device flushes or the descriptor goes away: a cleanly closed store
@@ -652,11 +389,10 @@ let checkpoint_header t =
 
 let sync t =
   checkpoint_header t;
-  with_dev t (fun () -> Backend.sync t.backend)
+  Backend.sync t.backend
 
 let close t =
-  stop_prefetcher t;
-  stop_seal_workers t;
+  Workers.close t.pool;
   checkpoint_header t;
   Backend.close t.backend
 
@@ -664,11 +400,8 @@ let close t =
    no journal commit, no flush — the on-disk state stays exactly as the
    crash point left it. Crash-sweep harness only. *)
 let abandon t =
-  stop_prefetcher t;
-  stop_seal_workers t;
-  match t.journal with
-  | Some j -> Journal.abandon j
-  | None -> Backend.close t.backend
+  Workers.close t.pool;
+  release t.backend t.journal
 
 (* ---- journal-backed checkpoints (no-ops on unjournaled stores).
 
@@ -685,14 +418,14 @@ let checkpoint t ~owner ~phase ~cursor =
   | None -> ()
   | Some j ->
       checkpoint_header t;
-      with_dev t (fun () -> Journal.checkpoint j ~owner ~phase ~cursor)
+      Journal.checkpoint j ~owner ~phase ~cursor
 
 let checkpoint_clear t ~owner =
   match t.journal with
   | None -> ()
   | Some j ->
       checkpoint_header t;
-      with_dev t (fun () -> Journal.clear j ~owner)
+      Journal.clear j ~owner
 
 let checkpoint_state t ~owner =
   match t.journal with None -> (0, 0) | Some j -> Journal.state j ~owner
@@ -787,9 +520,9 @@ let unseal_from t buf off =
    [base + i], exactly the sequence the per-block loop would draw — so
    the whole run can be encoded and XORed as equally-spaced regions of
    [run_buf]: one [Cipher.xor_run] per chunk (the ChaCha20 engine
-   dispatches 8 regions per SIMD batch), fanned across the seal pool
-   when one is attached. Serial and parallel sealing produce the same
-   bytes by construction. *)
+   dispatches 8 regions per SIMD batch), fanned across the store's
+   worker pool when [seal_domains > 1]. Serial and parallel sealing
+   produce the same bytes by construction. *)
 
 let seal_run t blks n =
   match t.cipher with
@@ -912,15 +645,6 @@ let run_transfer t ~counted ~record_retry ~record ~addr ~n ~do_run =
   in
   go addr 1
 
-(* The device lock is taken per attempt, not per logical transfer, so
-   retry backoff sleeps never hold the device against the prefetcher. *)
-let read_run_backend t ~buf ~addr ~count ~off =
-  with_dev t (fun () -> Backend.read_run t.backend ~addr ~count ~payload:t.payload_size ~buf ~off)
-
-let write_run_backend t ~buf ~addr ~count ~off =
-  with_dev t (fun () ->
-      Backend.write_run t.backend ~addr ~count ~payload:t.payload_size ~buf ~off)
-
 let record_read t a =
   Stats.record_read t.stats;
   Stats.record_moved t.stats t.payload_size;
@@ -949,18 +673,19 @@ let record_retry_write t a =
 
 let transfer_read t ~counted ~record ~addr ~n ~buf =
   run_transfer t ~counted ~record_retry:record_retry_read ~record ~addr ~n
-    ~do_run:(fun ~addr ~count ~off -> read_run_backend t ~buf ~addr ~count ~off)
+    ~do_run:(fun ~addr ~count ~off ->
+      Backend.read_run t.backend ~addr ~count ~payload:t.payload_size ~buf ~off)
 
 let transfer_write t ~counted ~record ~addr ~n ~buf =
-  pf_invalidate t addr n;
   run_transfer t ~counted ~record_retry:record_retry_write ~record ~addr ~n
-    ~do_run:(fun ~addr ~count ~off -> write_run_backend t ~buf ~addr ~count ~off)
+    ~do_run:(fun ~addr ~count ~off ->
+      Backend.write_run t.backend ~addr ~count ~payload:t.payload_size ~buf ~off)
 
 let alloc t n =
   if n < 0 then invalid_arg "Storage.alloc: negative size";
   let base = t.used in
   if n > 0 then begin
-    with_dev t (fun () -> Backend.ensure t.backend (t.used + n));
+    Backend.ensure t.backend (t.used + n);
     t.used <- t.used + n;
     (* Zero-initialization is the server's job and costs no counted I/O;
        retries here stay out of the trace for the same reason. Batched
@@ -1024,18 +749,6 @@ let read_many t addr n =
   if n > 0 then begin
     check_addr t addr;
     check_addr t (addr + n - 1);
-    match pf_take t addr n with
-    | Some buf ->
-        (* The payloads already travelled (uncounted, untraced); the
-           logical read happens now, so the accounting fires here
-           exactly as the batched transfer below would have fired it:
-           one trace op and one stats tick per block in address order. *)
-        for i = 0 to n - 1 do
-          record_read t (addr + i)
-        done;
-        if n > 1 then Stats.record_batched t.stats n;
-        unseal_run t buf n out
-    | None ->
     if t.batching && n > 1 then begin
       ensure_run_buf t n;
       transfer_read t ~counted:true ~record:(record_read t) ~addr ~n ~buf:t.run_buf;

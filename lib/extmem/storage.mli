@@ -37,8 +37,9 @@ type backend_spec =
   | Sharded of { inner : backend_spec; shards : int; seed : int }
       (** Stripe the address space across [shards] instances of [inner]
           (each a fresh device: file paths get a [.shardN] suffix, fault
-          seeds are mixed per shard), served in parallel by one domain
-          per shard for large runs — see {!Backend.sharded}. The fan-out
+          seeds are mixed per shard), large runs served in parallel, one
+          job per shard on the store's worker pool — see
+          {!Backend.sharded}. The fan-out
           is a keyed PRP of the block index, so the {e logical} trace —
           and therefore every obliviousness guarantee — is bit-identical
           to the single-shard run at every shard count. Nesting
@@ -81,7 +82,6 @@ val create :
   ?max_retries:int ->
   ?backoff:float * float ->
   ?batching:bool ->
-  ?prefetch:bool ->
   ?seal_domains:int ->
   ?resume:bool ->
   ?journal_auto_commit_bytes:int ->
@@ -105,13 +105,19 @@ val create :
     only the ciphertext bytes (and the keystream cost) differ.
 
     [seal_domains] (default 1) fans run sealing/unsealing across that
-    many domains (the caller's plus [seal_domains - 1] lazily spawned
-    workers, joined on {!close}). Sealing is pure CPU on disjoint
-    stripes of one off-heap buffer with all nonces reserved up front, so
-    the sealed bytes, nonce sequence, trace and device schedule are
-    bit-identical at every setting (pair-tested) — the knob changes only
-    which core runs the keystream arithmetic. Runs smaller than
-    [2 * seal_domains] blocks seal inline.
+    many domains: the caller's plus [seal_domains - 1] workers of the
+    store's pool. Sealing is pure CPU on disjoint stripes of one
+    off-heap buffer with all nonces reserved up front, so the sealed
+    bytes, nonce sequence, trace and device schedule are bit-identical
+    at every setting (pair-tested) — the knob changes only which core
+    runs the keystream arithmetic. Runs smaller than [2 * seal_domains]
+    blocks seal inline.
+
+    {b Worker pool.} The store owns one {!Workers} pool of
+    [max seal_domains K - 1] lazily spawned domains, where [K] is the
+    shard count of a [Sharded] spec (1 without one). Run sealing and
+    the stripe's per-shard transfers share it; {!close} and {!abandon}
+    join it, as does a [create] that raises.
 
     [telemetry] (default: the disabled sink) wires this store into a
     profiling sink: every backend call is timed (through
@@ -162,31 +168,16 @@ val create :
     what Bob sees: traces, stats totals and retry sequences are
     identical either way (the batch-parity tests assert this on every
     backend). Disable it to measure the batching win or to bisect a
-    suspected batching bug.
-
-    [prefetch] (default [false]) attaches a double-buffered prefetch
-    worker (one domain, spawned lazily on the first {!prefetch} hint,
-    joined on {!close}). Callers — {!Ext_array.iter_runs} in practice —
-    hint the next scan window while consuming the current one; the
-    worker moves raw payloads into a spare buffer, and when [read_many]
-    asks for exactly that window the payloads are unsealed from the
-    buffer while the normal per-block trace and stats fire unchanged.
-    Purely physical: on a fault-free backend the logical trace with
-    prefetch on is bit-identical to prefetch off (pair-tested), and
-    since hints are a fixed function of the public scan shape they are
-    as oblivious as the scan itself. On a [Faulty] backend a fetch that
-    trips the fault gate is abandoned (the counted path re-reads and
-    owns the retries) but consumes fault-schedule accesses, so trace
-    {e parity across prefetch on/off} holds on fault-free backends only
-    — obliviousness (pair equality at fixed settings) holds on all.
-    Implies [batching]; with [~batching:false] the flag is ignored. *)
+    suspected batching bug. *)
 
 val block_size : t -> int
 val capacity : t -> int
 (** Number of allocated blocks. *)
 
 val backend_kind : t -> string
-(** "mem", "file" or "faulty" — for reports. *)
+(** The kind of the outermost layer of the backend spec — "mem",
+    "file", "faulty", "sharded", "journaled" or "crashing" — for
+    reports. *)
 
 val batching : t -> bool
 (** Whether {!read_many}/{!write_many} use multi-block backend runs. *)
@@ -197,18 +188,6 @@ val cipher_engine : t -> Odex_crypto.Cipher.engine
 
 val seal_domains : t -> int
 (** Total domains participating in run sealing (1 = serial). *)
-
-val prefetch_enabled : t -> bool
-(** Whether a prefetch worker is attached (see {!create}). *)
-
-val prefetch : t -> int -> int -> unit
-(** [prefetch t addr n] hints that the contiguous run [addr, addr + n)
-    will be read soon. Uncounted, untraced, asynchronous, best-effort:
-    out-of-range windows and hints posted while the worker is busy are
-    dropped, and a transient fault abandons the fetch. Never call it
-    with a data-dependent window — hints must be a function of public
-    shape only, or the physical schedule leaks. No-op without a
-    prefetcher. *)
 
 val shard_ios : t -> int array
 (** Per-shard counts of block ops served by a [Sharded] backend ([[||]]

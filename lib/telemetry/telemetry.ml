@@ -111,9 +111,10 @@ type t = {
   on : bool;
   mu : Mutex.t;
       (* Guards every mutation of the enabled sink: the storage stack may
-         report from worker domains (sharded backends, the prefetcher)
-         concurrently with the coordinator. The disabled sink never locks
-         — its entry points remain the single [on] branch. Readers
+         report from worker domains (a store's pool, which runs seal
+         chunks and stripe transfers) concurrently with the coordinator.
+         The disabled sink never locks — its entry points remain the
+         single [on] branch. Readers
          (op_stats, phases, counters, the printers) are called after the
          run, with the workers quiesced, and stay lock-free. *)
   mutable ops : (op_kind * string * op_stat) list;

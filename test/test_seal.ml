@@ -16,6 +16,25 @@ let data b i =
   blk.(0) <- Cell.item ~key:(1000 + i) ~value:i ();
   blk
 
+(* Open descriptors of this process, where the platform lists them. *)
+let open_fds () =
+  if Sys.file_exists "/proc/self/fd" then Some (Array.length (Sys.readdir "/proc/self/fd"))
+  else None
+
+(* [reopen ()] must be refused every time, and a refused reopen must
+   close whatever it opened: fifty of them leave the descriptor count
+   where it was. *)
+let check_rejections_leak_nothing label reopen =
+  let before = open_fds () in
+  for _ = 1 to 50 do
+    match reopen () with
+    | exception Invalid_argument _ -> ()
+    | s ->
+        Storage.close s;
+        Alcotest.failf "%s: reopen accepted" label
+  done;
+  Alcotest.(check (option int)) (label ^ ": no descriptor leaked") before (open_fds ())
+
 (* ---------------- engine selection and persistence ---------------- *)
 
 (* Reopening a sealed store under a different engine must fail loudly:
@@ -54,6 +73,9 @@ let test_cross_engine_reopen_rejected () =
         | s ->
             Storage.close s;
             false);
+      check_rejections_leak_nothing "cross-engine reopen" (fun () ->
+          Storage.create ~cipher:key ~resume:true ~backend:(Storage.File { path }) ~block_size:b
+            ());
       (* The right engine still opens and decrypts. *)
       let s =
         Storage.create ~cipher:key ~cipher_engine:Cipher.Chacha20 ~resume:true
@@ -128,7 +150,22 @@ let test_journal_cross_engine_rejected () =
                 true
             | j ->
                 Backend.close (Journal.backend j);
-                false)))
+                false);
+          (* Through Storage: the journal's engine check fires after the
+             inner file store is open, and that store must be closed. *)
+          Sys.remove sp;
+          Sys.remove jp;
+          let backend =
+            Storage.Journaled { inner = Storage.File { path = sp }; path = jp; durable = false }
+          in
+          let key = Cipher.key_of_int 5 in
+          let s =
+            Storage.create ~cipher:key ~cipher_engine:Cipher.Chacha20 ~backend ~block_size:4 ()
+          in
+          Storage.write s (Storage.alloc s 1) (data 4 0);
+          Storage.close s;
+          check_rejections_leak_nothing "journaled cross-engine reopen" (fun () ->
+              Storage.create ~cipher:key ~resume:true ~backend ~block_size:4 ())))
 
 (* Engine choice must be invisible to Bob: same key, same coins, same
    shape — the PRF store and the ChaCha20 store produce identical
@@ -152,15 +189,24 @@ let test_engine_trace_parity () =
 
 (* The hard bit-level claim: sealing a run across domains produces the
    same device bytes as sealing it serially — same nonces, same
-   ciphertext, byte for byte on disk. *)
+   ciphertext, byte for byte on disk. Over a stripe the same pool also
+   runs the per-shard transfers, and every shard image must match. *)
 let test_parallel_seal_bytes_identical () =
-  let image seal_domains =
+  let image ~shards seal_domains =
     with_temp_store (fun path ->
         let b = 4 in
         let n = 64 in
+        let backend, files =
+          match shards with
+          | None -> (Storage.File { path }, [ path ])
+          | Some k ->
+              ( Storage.Sharded { inner = Storage.File { path }; shards = k; seed = 0x5A4D },
+                List.init k (Printf.sprintf "%s.shard%d" path) )
+        in
+        Fun.protect ~finally:(fun () -> Storage.remove_spec_files backend) @@ fun () ->
         let s =
           Storage.create ~cipher:(Cipher.key_of_int 21) ~cipher_engine:Cipher.Chacha20
-            ~seal_domains ~backend:(Storage.File { path }) ~block_size:b ()
+            ~seal_domains ~backend ~block_size:b ()
         in
         let base = Storage.alloc s n in
         Storage.write_many s base (Array.init n (data b));
@@ -173,12 +219,23 @@ let test_parallel_seal_bytes_identical () =
               (1000 + i) (Cell.key_exn blk.(0)))
           back;
         Storage.close s;
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic)))
+        List.map
+          (fun file ->
+            let ic = open_in_bin file in
+            Fun.protect
+              ~finally:(fun () -> close_in ic)
+              (fun () -> really_input_string ic (in_channel_length ic)))
+          files)
   in
-  Alcotest.(check string) "disk images identical serial vs parallel" (image 1) (image 3)
+  List.iter
+    (fun shards ->
+      let label =
+        Option.fold ~none:"file" ~some:(Printf.sprintf "sharded file K=%d") shards
+      in
+      Alcotest.(check (list string))
+        (label ^ ": disk images identical serial vs parallel")
+        (image ~shards 1) (image ~shards 3))
+    [ None; Some 2; Some 4 ]
 
 (* Registry-wide certification: every algorithm, on every backend, with
    run sealing fanned across domains — the pair traces (and shard_ios)

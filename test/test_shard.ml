@@ -1,7 +1,7 @@
 (* The sharded storage layer: PRP striping bijectivity, exact
    result/trace/stats parity between sharded and single-device runs for
-   every registered algorithm, obliviousness at every shard count, and
-   prefetch transparency. *)
+   every registered algorithm, obliviousness at every shard count, the
+   stripe's fault contract, and the store-owned worker pool. *)
 
 open Odex_extmem
 open Odex_obcheck
@@ -186,68 +186,191 @@ let sharded_pair_cases =
         Registry.all)
     Registry.backend_names
 
-(* --- prefetch transparency ----------------------------------------- *)
+(* --- the stripe's fault contract ------------------------------------ *)
 
-(* Prefetch must be invisible to Bob: same trace digest, same stats,
-   same result, with the worker on or off — over a plain store and over
-   a sharded one. *)
-let test_prefetch_parity () =
-  let entry =
-    match Registry.find "sort" with Some e -> e | None -> Alcotest.fail "sort not registered"
-  in
-  let run ~prefetch backend =
-    let s =
-      Storage.create ~trace_mode:Trace.Digest ~backend ~backoff:(0., 0.) ~prefetch
-        ~block_size:entry.b ()
+let stripe_k = 4
+let stripe_seed = 0x5A4D
+let stripe_payload = 16
+let fault_plan i = { Backend.seed = 0x77 + i; failure_rate = 0.2; max_burst = 2 }
+
+(* The payload of logical block [a]: its address in every 8-byte word. *)
+let fill_block buf ~off a =
+  for j = 0 to (stripe_payload / 8) - 1 do
+    Odex_crypto.Bigbuf.set64_le buf (off + (j * 8)) (Int64.of_int a)
+  done
+
+let block_is buf ~off a = Odex_crypto.Bigbuf.get64_le buf off = Int64.of_int a
+
+(* [Faulty] inside the stripe: each member gates its own accesses, so a
+   run faults on several shards at once and the stripe must aggregate.
+   The expected fault comes from twin members with the same plans,
+   driven one shard at a time: the smallest logical address any of them
+   faults at, or [None]. *)
+let twin_fault twins ~lo ~hi =
+  let k = stripe_k in
+  let buf = Odex_crypto.Bigbuf.create (hi * stripe_payload) in
+  let first = ref None in
+  for s = 0 to k - 1 do
+    let inner =
+      List.filter_map
+        (fun a ->
+          let s', g = Backend.shard_route ~shards:k ~seed:stripe_seed a in
+          if s' = s then Some (g, a) else None)
+        (List.init (hi - lo) (fun i -> lo + i))
     in
-    Fun.protect
-      ~finally:(fun () -> Storage.close s)
-      (fun () ->
-        let cells, _ = Pairtest.pair_inputs ~seed:0x9F9F ~n:entry.n_cells in
-        let arr = Ext_array.of_cells s ~block_size:entry.b cells in
-        let rng = Odex_crypto.Rng.create ~seed:0x9F9F in
-        entry.subject.Pairtest.run ~rng ~m:entry.m s arr;
-        let st = Storage.stats s in
-        ( Trace.digest (Storage.trace s),
-          Stats.reads st,
-          Stats.writes st,
-          Ext_array.to_cells arr ))
-  in
-  List.iter
-    (fun (label, backend_of) ->
-      let d_off, r_off, w_off, c_off = run ~prefetch:false (backend_of ()) in
-      let d_on, r_on, w_on, c_on = run ~prefetch:true (backend_of ()) in
-      Alcotest.(check int64) (label ^ ": digest") d_off d_on;
-      Alcotest.(check int) (label ^ ": reads") r_off r_on;
-      Alcotest.(check int) (label ^ ": writes") w_off w_on;
-      Alcotest.(check bool) (label ^ ": results") true (c_off = c_on))
-    [
-      ("mem", fun () -> Storage.Mem);
-      ("sharded", fun () -> Storage.Sharded { inner = Storage.Mem; shards = 4; seed = 0x5A4D });
-    ]
+    match inner with
+    | [] -> ()
+    | (g0, _) :: _ -> (
+        let count = List.length inner in
+        match
+          Backend.write_run twins.(s) ~addr:g0 ~count ~payload:stripe_payload ~buf ~off:0
+        with
+        | () -> ()
+        | exception Backend.Transient { addr = gf; _ } ->
+            let a = List.assoc gf inner in
+            if Option.fold ~none:true ~some:(fun b -> a < b) !first then first := Some a)
+  done;
+  !first
 
-let test_prefetch_pair_oblivious () =
-  (* Consolidation plus the two randomized sorters: the prefetch worker
-     must stay invisible under the bucket pipeline's batched scans too
-     (rank-isomorphic pair for the merge phase, exact for the
-     routing-only permutation — same certificates as the plain runs). *)
-  List.iter
-    (fun name ->
-      let entry =
-        match Registry.find name with
-        | Some e -> e
-        | None -> Alcotest.fail (name ^ " not registered")
-      in
-      let o =
-        Pairtest.check ~prefetch:true
-          ~backend:(Storage.Sharded { inner = Storage.Mem; shards = 4; seed = 0x5A4D })
-          ~pair:(Registry.pair_mode entry) entry.subject ~n_cells:entry.n_cells
-          ~b:entry.b ~m:entry.m
-      in
-      Alcotest.(check bool)
-        (Format.asprintf "%s: %a" name Pairtest.pp_outcome o)
-        true o.oblivious)
-    [ "consolidation"; "bucket-sort"; "oblivious-permutation" ]
+let test_stripe_fault_contract () =
+  let k = stripe_k and n = 8 * stripe_k in
+  let pool = Workers.create (k - 1) in
+  Fun.protect ~finally:(fun () -> Workers.close pool) @@ fun () ->
+  let devices = Array.init k (fun _ -> Backend.mem ~payload_size:stripe_payload ()) in
+  let stripe =
+    Backend.sharded ~seed:stripe_seed ~pool
+      (Array.mapi (fun i d -> Backend.faulty (fault_plan i) d) devices)
+  in
+  let twins =
+    Array.init k (fun i ->
+        Backend.faulty (fault_plan i) (Backend.mem ~payload_size:stripe_payload ()))
+  in
+  Backend.ensure stripe n;
+  Array.iter (fun tw -> Backend.ensure tw (n / k)) twins;
+  let landed a =
+    let s, g = Backend.shard_route ~shards:k ~seed:stripe_seed a in
+    let b = Odex_crypto.Bigbuf.create stripe_payload in
+    Backend.read_into devices.(s) g ~buf:b ~off:0;
+    block_is b ~off:0 a
+  in
+  (* Resume from each fault, as Storage's retry engine does, until the
+     whole run has gone through. The first attempts span >= 2K blocks
+     (the pooled path); a short tail runs inline through the same
+     aggregation. *)
+  let drive ~write buf =
+    let faults = ref 0 in
+    let rec go lo =
+      let expect = twin_fault twins ~lo ~hi:n in
+      let op = if write then Backend.write_run else Backend.read_run in
+      match
+        op stripe ~addr:lo ~count:(n - lo) ~payload:stripe_payload ~buf
+          ~off:(lo * stripe_payload)
+      with
+      | () -> Alcotest.(check (option int)) "no fault expected" expect None
+      | exception Backend.Transient { addr = fa; _ } ->
+          incr faults;
+          Alcotest.(check (option int)) "smallest faulted logical address" expect (Some fa);
+          for a = lo to fa - 1 do
+            if write && not (landed a) then
+              Alcotest.failf "block %d below fault %d not written" a fa;
+            if (not write) && not (block_is buf ~off:(a * stripe_payload) a) then
+              Alcotest.failf "block %d below fault %d not read" a fa
+          done;
+          if !faults > 1000 then Alcotest.fail "stripe never completed the run";
+          go fa
+    in
+    go 0;
+    !faults
+  in
+  let src = Odex_crypto.Bigbuf.create (n * stripe_payload) in
+  for a = 0 to n - 1 do
+    fill_block src ~off:(a * stripe_payload) a
+  done;
+  let wf = drive ~write:true src in
+  let rf = drive ~write:false (Odex_crypto.Bigbuf.create (n * stripe_payload)) in
+  Alcotest.(check bool) "faults hit both directions" true (wf > 0 && rf > 0);
+  (* A non-transient failure is a bug, not weather: it wins over the
+     transients the other shards raise in the same run. *)
+  let always = { Backend.seed = 1; failure_rate = 1.0; max_burst = 1 } in
+  let broken =
+    Backend.sharded ~seed:stripe_seed ~pool
+      (Array.init k (fun i ->
+           let d = Backend.mem ~payload_size:stripe_payload () in
+           if i = k - 1 then Backend.crash_after ~ops:0 d else Backend.faulty always d))
+  in
+  Backend.ensure broken n;
+  Alcotest.check_raises "non-transient beats transient" Backend.Crashed (fun () ->
+      Backend.write_run broken ~addr:0 ~count:n ~payload:stripe_payload ~buf:src ~off:0)
+
+(* The same weather through Storage: batched transfers over a stripe of
+   faulty members retry to completion and round-trip every block. *)
+let test_storage_over_faulty_stripe () =
+  let backend =
+    Storage.Sharded
+      {
+        inner =
+          Storage.Faulty { inner = Storage.Mem; seed = 0x31; failure_rate = 0.1; max_burst = 2 };
+        shards = 4;
+        seed = stripe_seed;
+      }
+  in
+  let s = Storage.create ~backend ~backoff:(0., 0.) ~block_size:4 () in
+  Fun.protect ~finally:(fun () -> Storage.close s) @@ fun () ->
+  let n = 64 in
+  let base = Storage.alloc s n in
+  Storage.write_many s base
+    (Array.init n (fun i ->
+         let blk = Block.make 4 in
+         blk.(0) <- Cell.item ~key:i ~value:(i * 7) ();
+         blk));
+  let blks = Storage.read_many s base n in
+  Array.iteri
+    (fun i blk ->
+      match blk.(0) with
+      | Cell.Item it -> Alcotest.(check int) (Printf.sprintf "block %d" i) (i * 7) it.value
+      | Cell.Empty -> Alcotest.failf "block %d came back empty" i)
+    blks;
+  Alcotest.(check bool) "retries were needed" true (Stats.retries (Storage.stats s) > 0)
+
+(* --- the shared worker pool ---------------------------------------- *)
+
+let test_workers_run () =
+  let pool = Workers.create 2 in
+  Fun.protect ~finally:(fun () -> Workers.close pool) @@ fun () ->
+  let self = Domain.self () in
+  let ran = Array.make 3 false in
+  let outcomes =
+    Workers.run pool
+      [|
+        (fun () -> ran.(0) <- Domain.self () = self);
+        (fun () -> ran.(1) <- Domain.self () <> self);
+        (fun () -> failwith "job 2");
+      |]
+  in
+  Alcotest.(check (array bool))
+    "job 0 on the caller, job 1 on a worker" [| true; true; false |] ran;
+  Alcotest.(check bool) "outcomes in job order" true
+    (match outcomes with [| None; None; Some (Failure m) |] -> m = "job 2" | _ -> false);
+  Alcotest.check_raises "more jobs than size + 1"
+    (Invalid_argument "Workers.run: 4 jobs for 2 workers") (fun () ->
+      ignore (Workers.run pool (Array.make 4 ignore)));
+  Workers.close pool;
+  Workers.close pool
+
+(* Every store joins its pool: 200 stores that each spawned three
+   workers would hit OCaml 5's 128-domain limit if a single worker
+   outlived its store, whether the store was closed or abandoned. *)
+let test_pool_lifecycle () =
+  let backend = Storage.Sharded { inner = Storage.Mem; shards = 4; seed = stripe_seed } in
+  for i = 1 to 200 do
+    let s =
+      Storage.create ~cipher:(Odex_crypto.Cipher.key_of_int i) ~seal_domains:2 ~backend
+        ~block_size:4 ()
+    in
+    let base = Storage.alloc s 16 in
+    Storage.write_many s base (Array.init 16 (fun _ -> Block.make 4));
+    if i mod 2 = 0 then Storage.close s else Storage.abandon s
+  done
 
 (* --- sharded length survives close/reopen -------------------------- *)
 
@@ -299,8 +422,12 @@ let suite =
   [
     qcheck_route_bijection;
     Alcotest.test_case "roundtrip at K=1..8" `Quick test_roundtrip_shards;
-    Alcotest.test_case "prefetch on/off parity" `Quick test_prefetch_parity;
-    Alcotest.test_case "prefetch pair oblivious [K=4]" `Quick test_prefetch_pair_oblivious;
+    Alcotest.test_case "stripe fault contract [Faulty inside K=4]" `Quick
+      test_stripe_fault_contract;
+    Alcotest.test_case "storage round trip over a faulty stripe" `Quick
+      test_storage_over_faulty_stripe;
+    Alcotest.test_case "workers run and reject oversize batches" `Quick test_workers_run;
+    Alcotest.test_case "pool lifecycle over 200 stores" `Quick test_pool_lifecycle;
     Alcotest.test_case "file persistence across reopen [K=3]" `Quick
       test_sharded_file_persistence;
     Alcotest.test_case "nested sharding rejected" `Quick test_nested_sharded_rejected;
