@@ -128,54 +128,63 @@ let scatter_phase a dst plan =
 
 (* One butterfly level: for each bucket pair (g, g|2^l), MergeSplit by a
    fresh coin bit per cell. Reads the occupied prefix of [src] (count
-   from the replayed table), writes packed prefixes into [dst]; cells
-   beyond a bucket's count are stale and never read. Excess cells on an
-   overflowing side are dropped — the trace is already fixed by the
-   counts, so the drop is Alice-private. *)
+   from the replayed table) and deals its cells straight into two side
+   buffers, allocated once per level; writes each side's packed prefix
+   into [dst], its last block's tail cleared. Cells beyond a bucket's
+   count are stale and never read. Excess cells on an overflowing side
+   are dropped — the trace is already fixed by the counts, so the drop
+   is Alice-private. *)
 let route_level ~src ~dst plan ~before ~master l =
   let b = Ext_array.block_size src in
   let rng = level_rng ~master l in
   let stride = 1 lsl l in
-  let gather bucket =
+  let lo = Array.init plan.zb (fun _ -> Block.make b) in
+  let hi = Array.init plan.zb (fun _ -> Block.make b) in
+  let nlo = ref 0 and nhi = ref 0 in
+  let deal bucket =
     let cnt = before.(bucket) in
-    if cnt = 0 then [||]
-    else begin
+    if cnt > 0 then begin
       let blks = Ext_array.read_blocks src (bucket * plan.zb) ~count:(Emodel.ceil_div cnt b) in
-      Array.init cnt (fun j -> blks.(j / b).(j mod b))
+      for j = 0 to cnt - 1 do
+        let c = blks.(j / b).(j mod b) in
+        if Odex_crypto.Rng.bool rng then begin
+          let k = !nhi in
+          if k < plan.z then hi.(k / b).(k mod b) <- c;
+          nhi := k + 1
+        end
+        else begin
+          let k = !nlo in
+          if k < plan.z then lo.(k / b).(k mod b) <- c;
+          nlo := k + 1
+        end
+      done
     end
   in
-  let scatter bucket side cnt =
+  let write bucket side cnt =
     let cnt = min plan.z cnt in
     if cnt > 0 then begin
-      let blks = Array.init (Emodel.ceil_div cnt b) (fun _ -> Block.make b) in
-      for j = 0 to cnt - 1 do
-        blks.(j / b).(j mod b) <- side.(j)
-      done;
-      Ext_array.write_blocks dst (bucket * plan.zb) blks
+      let nb = Emodel.ceil_div cnt b in
+      let used = cnt - ((nb - 1) * b) in
+      Array.fill side.(nb - 1) used (b - used) Cell.empty;
+      Ext_array.write_blocks dst (bucket * plan.zb)
+        (if nb = plan.zb then side else Array.sub side 0 nb)
     end
   in
   for g = 0 to plan.beta - 1 do
     if g land stride = 0 then begin
       let h = g lor stride in
-      let cells_g = gather g and cells_h = gather h in
-      let lo = Array.make plan.z Cell.empty and hi = Array.make plan.z Cell.empty in
-      let nlo = ref 0 and nhi = ref 0 in
-      let route c =
-        if Odex_crypto.Rng.bool rng then begin
-          if !nhi < plan.z then hi.(!nhi) <- c;
-          incr nhi
-        end
-        else begin
-          if !nlo < plan.z then lo.(!nlo) <- c;
-          incr nlo
-        end
-      in
-      Array.iter route cells_g;
-      Array.iter route cells_h;
-      scatter g lo !nlo;
-      scatter h hi !nhi
+      nlo := 0;
+      nhi := 0;
+      deal g;
+      deal h;
+      write g lo !nlo;
+      write h hi !nhi
     end
   done
+
+(* Order (priority, index, payload) triples by priority, then index —
+   lexicographic on the two ints without boxing a pair per comparison. *)
+let by_prio (p, i, _) (q, j, _) = if p <> q then Int.compare p q else Int.compare i j
 
 (* Emit every counted cell of [src]'s buckets in a fresh uniform
    within-bucket order, streamed through one staging block; pad the
@@ -203,7 +212,7 @@ let finalize_cells ~src plan ~counts ~master a =
       let keyed =
         Array.init cnt (fun j -> (Odex_crypto.Rng.int rng 0x3FFFFFFF, j, blks.(j / b).(j mod b)))
       in
-      Array.sort (fun (p, i, _) (q, j, _) -> compare (p, i) (q, j)) keyed;
+      Array.sort by_prio keyed;
       Array.iter (fun (_, _, c) -> emit c) keyed;
       emitted := !emitted + cnt
     end
@@ -244,7 +253,7 @@ let permute ?z_cells ~rng ~m a =
   else begin
     let master = Odex_crypto.Rng.int rng 0x3FFFFFFF in
     if n <= m then begin
-      cache_permute ~master ~m a;
+      Ext_array.with_span a "bucket-perm.cache" (fun () -> cache_permute ~master ~m a);
       { ok = true }
     end
     else begin
@@ -267,13 +276,17 @@ let permute ?z_cells ~rng ~m a =
       let area_a = Ext_array.sub scratch ~off:0 ~len:area in
       let area_b = Ext_array.sub scratch ~off:area ~len:area in
       let counts, overflow = simulate plan ~master ~b ~n_blocks:n in
-      run_phase (fun () -> scatter_phase a area_a plan);
-      for l = 0 to plan.levels - 1 do
-        let src, dst = if l land 1 = 0 then (area_a, area_b) else (area_b, area_a) in
-        run_phase (fun () -> route_level ~src ~dst plan ~before:counts.(l) ~master l)
-      done;
+      Ext_array.with_span a "bucket-perm.scatter" (fun () ->
+          run_phase (fun () -> scatter_phase a area_a plan));
+      Ext_array.with_span a "bucket-perm.route" (fun () ->
+          for l = 0 to plan.levels - 1 do
+            let src, dst = if l land 1 = 0 then (area_a, area_b) else (area_b, area_a) in
+            run_phase (fun () -> route_level ~src ~dst plan ~before:counts.(l) ~master l)
+          done);
       let final = if plan.levels land 1 = 1 then area_b else area_a in
-      run_phase (fun () -> finalize_cells ~src:final plan ~counts:counts.(plan.levels) ~master a);
+      Ext_array.with_span a "bucket-perm.finalize" (fun () ->
+          run_phase (fun () ->
+              finalize_cells ~src:final plan ~counts:counts.(plan.levels) ~master a));
       finish ();
       { ok = not overflow }
     end
@@ -345,7 +358,7 @@ let finalize_blocks ~src plan ~counts ~master a =
     if cnt > 0 then begin
       let blks = Ext_array.read_blocks src (g * plan.zb) ~count:cnt in
       let keyed = Array.mapi (fun j blk -> (Odex_crypto.Rng.int rng 0x3FFFFFFF, j, blk)) blks in
-      Array.sort (fun (p, i, _) (q, j, _) -> compare (p, i) (q, j)) keyed;
+      Array.sort by_prio keyed;
       Array.iter
         (fun (_, _, blk) ->
           Ext_array.write_block a !out blk;
@@ -363,7 +376,7 @@ let permute_blocks ?z_blocks ~rng ~m a =
   else begin
     let master = Odex_crypto.Rng.int rng 0x3FFFFFFF in
     if n <= m then begin
-      cache_permute_blocks ~master ~m a;
+      Ext_array.with_span a "bucket-perm.cache" (fun () -> cache_permute_blocks ~master ~m a);
       { ok = true }
     end
     else begin
@@ -388,14 +401,17 @@ let permute_blocks ?z_blocks ~rng ~m a =
       let area_a = Ext_array.sub scratch ~off:0 ~len:area in
       let area_b = Ext_array.sub scratch ~off:area ~len:area in
       let counts, overflow = simulate plan ~master ~b:1 ~n_blocks:n in
-      run_phase (fun () -> scatter_phase a area_a plan);
-      for l = 0 to plan.levels - 1 do
-        let src, dst = if l land 1 = 0 then (area_a, area_b) else (area_b, area_a) in
-        run_phase (fun () -> route_level_blocks ~src ~dst plan ~before:counts.(l) ~master l)
-      done;
+      Ext_array.with_span a "bucket-perm.scatter" (fun () ->
+          run_phase (fun () -> scatter_phase a area_a plan));
+      Ext_array.with_span a "bucket-perm.route" (fun () ->
+          for l = 0 to plan.levels - 1 do
+            let src, dst = if l land 1 = 0 then (area_a, area_b) else (area_b, area_a) in
+            run_phase (fun () -> route_level_blocks ~src ~dst plan ~before:counts.(l) ~master l)
+          done);
       let final = if plan.levels land 1 = 1 then area_b else area_a in
-      run_phase (fun () ->
-          finalize_blocks ~src:final plan ~counts:counts.(plan.levels) ~master a);
+      Ext_array.with_span a "bucket-perm.finalize" (fun () ->
+          run_phase (fun () ->
+              finalize_blocks ~src:final plan ~counts:counts.(plan.levels) ~master a));
       finish ();
       { ok = not overflow }
     end
@@ -409,10 +425,11 @@ exception Overflow of string
 
 (* Stream-merge [runs] (offset, cell-count pairs inside [src]) into a
    packed run at [dst_off] of [dst]: one lazily-refilled block per input
-   run plus one staging output block. The read schedule visits every
-   occupied block of every input run exactly once; only the visit
-   *order* is data-driven (by ranks), which the rank-isomorphic pair
-   mode certifies. *)
+   run plus one staging output block. A loser tree over the run indices
+   picks each output cell; equal heads go to the lower run index, which
+   fixes the output order of cells the comparator ties. The read schedule visits every occupied block of
+   every input run exactly once; only the visit *order* is data-driven
+   (by ranks), which the rank-isomorphic pair mode certifies. *)
 let merge_group ~cmp ~src ~dst ~dst_off runs =
   let b = Ext_array.block_size src in
   let k = Array.length runs in
@@ -428,18 +445,16 @@ let merge_group ~cmp ~src ~dst ~dst_off runs =
   for r = 0 to k - 1 do
     if left.(r) > 0 then load r
   done;
+  let head r = buf.(r).(bpos.(r)) in
+  let tree =
+    Loser_tree.create k ~live:(fun r -> left.(r) > 0) ~cmp:(fun r s -> cmp (head r) (head s))
+  in
   let staging = Block.make b in
   let fill = ref 0 and out = ref dst_off in
   let total = Array.fold_left ( + ) 0 left in
   for _ = 1 to total do
-    let best = ref (-1) in
-    for r = 0 to k - 1 do
-      if left.(r) > 0 then
-        if !best < 0 then best := r
-        else if cmp buf.(r).(bpos.(r)) buf.(!best).(bpos.(!best)) < 0 then best := r
-    done;
-    let r = !best in
-    staging.(!fill) <- buf.(r).(bpos.(r));
+    let r = Loser_tree.winner tree in
+    staging.(!fill) <- head r;
     incr fill;
     if !fill = b then begin
       Ext_array.write_block dst !out (Block.copy staging);
@@ -448,7 +463,8 @@ let merge_group ~cmp ~src ~dst ~dst_off runs =
     end;
     bpos.(r) <- bpos.(r) + 1;
     left.(r) <- left.(r) - 1;
-    if left.(r) > 0 && bpos.(r) = b then load r
+    if left.(r) > 0 && bpos.(r) = b then load r;
+    Loser_tree.replay tree
   done;
   if !fill > 0 then begin
     for j = !fill to b - 1 do
@@ -470,11 +486,13 @@ let sort ~plan ~master ~real ~cmp ~m a =
     let area_a = Ext_array.sub scratch ~off:0 ~len:area in
     let area_b = Ext_array.sub scratch ~off:area ~len:area in
     let counts, overflow = simulate plan ~master ~b ~n_blocks:n in
-    run_phase (fun () -> scatter_phase a area_a plan);
-    for l = 0 to plan.levels - 1 do
-      let src, dst = if l land 1 = 0 then (area_a, area_b) else (area_b, area_a) in
-      run_phase (fun () -> route_level ~src ~dst plan ~before:counts.(l) ~master l)
-    done;
+    Ext_array.with_span a "bucket.scatter" (fun () ->
+        run_phase (fun () -> scatter_phase a area_a plan));
+    Ext_array.with_span a "bucket.route" (fun () ->
+        for l = 0 to plan.levels - 1 do
+          let src, dst = if l land 1 = 0 then (area_a, area_b) else (area_b, area_a) in
+          run_phase (fun () -> route_level ~src ~dst plan ~before:counts.(l) ~master l)
+        done);
     let routed, spare =
       if plan.levels land 1 = 1 then (area_b, area_a) else (area_a, area_b)
     in
@@ -496,30 +514,32 @@ let sort ~plan ~master ~real ~cmp ~m a =
     for j = 1 to nruns - 1 do
       run_offs.(j) <- run_offs.(j - 1) + Emodel.ceil_div run_cells.(j - 1) b
     done;
-    run_phase (fun () ->
-        for j = 0 to nruns - 1 do
-          let cells = Array.make run_cells.(j) Cell.empty in
-          let pos = ref 0 in
-          for g = j * gpr to min plan.beta ((j + 1) * gpr) - 1 do
-            let cnt = final_counts.(g) in
-            if cnt > 0 then begin
-              let blks =
-                Ext_array.read_blocks routed (g * plan.zb) ~count:(Emodel.ceil_div cnt b)
-              in
-              for i = 0 to cnt - 1 do
-                cells.(!pos) <- blks.(i / b).(i mod b);
-                incr pos
-              done
-            end
-          done;
-          Array.sort cmp cells;
-          let nb = Emodel.ceil_div run_cells.(j) b in
-          if nb > 0 then begin
-            let blks = Array.init nb (fun _ -> Block.make b) in
-            Array.iteri (fun i c -> blks.(i / b).(i mod b) <- c) cells;
-            Ext_array.write_blocks spare run_offs.(j) blks
+    let local_sort () =
+      for j = 0 to nruns - 1 do
+        let cells = Array.make run_cells.(j) Cell.empty in
+        let pos = ref 0 in
+        for g = j * gpr to min plan.beta ((j + 1) * gpr) - 1 do
+          let cnt = final_counts.(g) in
+          if cnt > 0 then begin
+            let blks =
+              Ext_array.read_blocks routed (g * plan.zb) ~count:(Emodel.ceil_div cnt b)
+            in
+            for i = 0 to cnt - 1 do
+              cells.(!pos) <- blks.(i / b).(i mod b);
+              incr pos
+            done
           end
-        done);
+        done;
+        Array.sort cmp cells;
+        let nb = Emodel.ceil_div run_cells.(j) b in
+        if nb > 0 then begin
+          let blks = Array.init nb (fun _ -> Block.make b) in
+          Array.iteri (fun i c -> blks.(i / b).(i mod b) <- c) cells;
+          Ext_array.write_blocks spare run_offs.(j) blks
+        end
+      done
+    in
+    Ext_array.with_span a "bucket.local-sort" (fun () -> run_phase local_sort);
     (* Merge passes ping-pong between the two areas until one run
        remains. *)
     let fan = max 2 (min nruns (m - 1)) in
@@ -549,7 +569,7 @@ let sort ~plan ~master ~real ~cmp ~m a =
       end
     in
     let runs0 = Array.init nruns (fun j -> (run_offs.(j), run_cells.(j))) in
-    let final_area, _ = passes spare routed runs0 in
+    let final_area, _ = Ext_array.with_span a "bucket.merge" (fun () -> passes spare routed runs0) in
     if overflow then begin
       (* The full schedule above already ran (the event is coin-public,
          so both members of a pair stop identically); leave [a] intact. *)
@@ -562,15 +582,17 @@ let sort ~plan ~master ~real ~cmp ~m a =
     (* Copy-back reads both the merged result and the array's current
        content: a dummy pass writes the latter back, so selective runs
        keep their fixed trace without touching the data. *)
-    run_phase (fun () ->
-        let chunk = max 1 (min 32 ((m - 1) / 2)) in
-        let off = ref 0 in
-        while !off < n do
-          let len = min chunk (n - !off) in
-          let merged = Ext_array.read_blocks final_area !off ~count:len in
-          let current = Ext_array.read_blocks a !off ~count:len in
-          Ext_array.write_blocks a !off (if real then merged else current);
-          off := !off + len
-        done);
+    let copy_back () =
+      let chunk = max 1 (min 32 ((m - 1) / 2)) in
+      let off = ref 0 in
+      while !off < n do
+        let len = min chunk (n - !off) in
+        let merged = Ext_array.read_blocks final_area !off ~count:len in
+        let current = Ext_array.read_blocks a !off ~count:len in
+        Ext_array.write_blocks a !off (if real then merged else current);
+        off := !off + len
+      done
+    in
+    Ext_array.with_span a "bucket.copy-back" (fun () -> run_phase copy_back);
     finish ()
   end

@@ -29,7 +29,14 @@
     scratch areas, so every phase reads only data the previous
     checkpoint committed and re-running a torn phase is byte-identical;
     the private counts are re-derived on resume by replaying the coins
-    with {!simulate_overflow}'s machinery. *)
+    with {!simulate_overflow}'s machinery.
+
+    Observability: each phase runs inside a {!Ext_array.with_span}
+    whose label is a constant — [bucket.scatter], [bucket.route],
+    [bucket.local-sort], [bucket.merge] and [bucket.copy-back] for
+    {!sort}; [bucket-perm.scatter], [bucket-perm.route],
+    [bucket-perm.finalize] (or [bucket-perm.cache] for in-cache inputs)
+    for {!permute} and {!permute_blocks}. *)
 
 open Odex_extmem
 

@@ -406,6 +406,113 @@ let test_bucket_simulate_matches_run () =
   done;
   Alcotest.(check bool) "fence exercises both outcomes" true (!seen_ok && !seen_ov)
 
+(* Key-only order: distinct cells with equal keys tie, so where tied
+   cells land is decided by the local sort and the merge's tie rule. *)
+let compare_key_only x y =
+  match (x, y) with
+  | Cell.Empty, Cell.Empty -> 0
+  | Cell.Empty, _ -> 1
+  | _, Cell.Empty -> -1
+  | Cell.Item p, Cell.Item q -> Int.compare p.key q.key
+
+let test_bucket_sort_tie_golden () =
+  (* Pinned (trace digest, trace length, digest of the output's tag
+     sequence) for bucket sorts under a tie-heavy comparator. The shapes
+     take two merge passes; 65 536 cells end the first pass with a
+     4-run group; 39 999 cells end on a partial block. Any change to
+     the coins, the local sort's order among ties, the merge's tie rule
+     or the I/O schedule moves a pinned value. *)
+  List.iter
+    (fun (n, bound, digest, len, tags) ->
+      let rng = Odex_crypto.Rng.create ~seed:(n + bound) in
+      let keys = Util.random_keys rng n ~bound in
+      let s = Util.storage ~b:8 () in
+      let a = Ext_array.of_cells s ~block_size:8 (Util.cells_of_keys keys) in
+      Ext_sort.run (Ext_sort.bucket ()) ~cmp:compare_key_only ~m:128 a;
+      let items = Ext_array.items a in
+      let name = Printf.sprintf "N=%d bound=%d" n bound in
+      Alcotest.(check (list int)) (name ^ ": sorted keys")
+        (List.sort compare (Array.to_list keys)) (Util.keys_of_items items);
+      Alcotest.(check int64) (name ^ ": trace digest") digest (Trace.digest (Storage.trace s));
+      Alcotest.(check int) (name ^ ": trace length") len (Trace.length (Storage.trace s));
+      let out_tags = List.map (fun (it : Cell.item) -> string_of_int it.tag) items in
+      Alcotest.(check string) (name ^ ": tag sequence") tags
+        (Digest.to_hex (Digest.string (String.concat "," out_tags))))
+    [
+      (40_000, 4, 8583463048628957013L, 148318, "3138f1025818c7a29cbc113d11fc8d47");
+      (65_536, 3, -8492983012438779911L, 260384, "906e0b481be8c830a6d74cf527ef6d99");
+      (39_999, 1_000, 604450396328770564L, 148318, "64338e21310d3ed610c9bb0732fcfccc");
+    ]
+
+(* The run indices a k-way merge of [runs] picks, in order: through a
+   loser tree, and through the scan for the strict minimum that it
+   must reproduce. Runs hold (key, id) pairs compared by key only. *)
+let loser_tree_picks runs =
+  let k = Array.length runs in
+  let pos = Array.make k 0 in
+  let head r = fst runs.(r).(pos.(r)) in
+  let t =
+    Loser_tree.create k
+      ~live:(fun r -> pos.(r) < Array.length runs.(r))
+      ~cmp:(fun r s -> Int.compare (head r) (head s))
+  in
+  let total = Array.fold_left (fun acc r -> acc + Array.length r) 0 runs in
+  let picks = ref [] in
+  for _ = 1 to total do
+    let r = Loser_tree.winner t in
+    picks := r :: !picks;
+    pos.(r) <- pos.(r) + 1;
+    Loser_tree.replay t
+  done;
+  List.rev !picks
+
+let scan_picks runs =
+  let k = Array.length runs in
+  let pos = Array.make k 0 in
+  let total = Array.fold_left (fun acc r -> acc + Array.length r) 0 runs in
+  let picks = ref [] in
+  for _ = 1 to total do
+    let best = ref (-1) in
+    for r = 0 to k - 1 do
+      if pos.(r) < Array.length runs.(r) then
+        if !best < 0 || fst runs.(r).(pos.(r)) < fst runs.(!best).(pos.(!best)) then best := r
+    done;
+    picks := !best :: !picks;
+    pos.(!best) <- pos.(!best) + 1
+  done;
+  List.rev !picks
+
+let test_loser_tree_edges () =
+  let run keys = Array.of_list (List.mapi (fun i k -> (k, i)) keys) in
+  let check name runs =
+    Alcotest.(check (list int)) name (scan_picks runs) (loser_tree_picks runs)
+  in
+  Alcotest.(check bool) "k = 0 rejected" true
+    (try
+       ignore (Loser_tree.create 0 ~live:(fun _ -> false) ~cmp:(fun _ _ -> 0));
+       false
+     with Invalid_argument _ -> true);
+  check "k = 1" [| run [ 1; 2; 2; 5 ] |];
+  check "k = 1, empty run" [| run [] |];
+  Alcotest.(check int) "k = 1 winner" 0
+    (Loser_tree.winner (Loser_tree.create 1 ~live:(fun _ -> false) ~cmp:(fun _ _ -> 0)));
+  check "all runs empty" [| run []; run []; run [] |];
+  check "empty runs first, middle and last" [| run []; run [ 3; 4 ]; run []; run [ 1; 3 ]; run [] |];
+  check "ties go to the lower index" [| run [ 2; 2 ]; run [ 1; 2 ]; run [ 2 ]; run [ 1; 1; 2 ] |];
+  check "one live run among empties" [| run []; run []; run []; run []; run [ 7; 8; 9 ] |];
+  (* Random shapes, k = 1 .. 20, lengths 0 .. 6, keys in 0 .. 3: heavy
+     ties, empty runs, and every non-power-of-two tree. *)
+  let rng = Util.rng_of "loser-tree" 0 in
+  for trial = 1 to 300 do
+    let k = 1 + Odex_crypto.Rng.int rng 20 in
+    let runs =
+      Array.init k (fun _ ->
+          let len = Odex_crypto.Rng.int rng 7 in
+          run (List.sort compare (List.init len (fun _ -> Odex_crypto.Rng.int rng 4))))
+    in
+    check (Printf.sprintf "random trial %d (k = %d)" trial k) runs
+  done
+
 let test_permute_correct () =
   let rng = Odex_crypto.Rng.create ~seed:41 in
   let keys = Util.random_keys rng 512 ~bound:100_000 in
@@ -532,6 +639,8 @@ let suite =
     ("bucket dummy pass", `Quick, test_bucket_dummy_pass);
     ("bucket undersized-Z overflow", `Quick, test_bucket_overflow_raises);
     ("bucket simulation matches run", `Quick, test_bucket_simulate_matches_run);
+    ("bucket sort tie golden", `Quick, test_bucket_sort_tie_golden);
+    ("loser tree edge cases", `Quick, test_loser_tree_edges);
     ("oblivious permutation correct", `Quick, test_permute_correct);
     ("oblivious permutation fixed trace", `Quick, test_permute_fixed_trace);
     ("oblivious block permutation", `Quick, test_permute_blocks_correct);
