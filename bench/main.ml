@@ -1,262 +1,251 @@
-(* Experiment harness: one section per experiment in DESIGN.md's index
-   (E1–E17) plus Bechamel wall-clock micro-benches for the headline
-   operations.
-
-   Usage: main.exe            — run everything
-          main.exe E9 E10     — run selected experiments
-          main.exe time       — wall-clock benches only
-          main.exe --json     — machine-readable metrics -> BENCH_core.json
-          main.exe --json E2  — ditto, selected experiments only
-          main.exe --json E2 --profile p.json
-                              — ditto, plus telemetry: per-phase latency
-                                percentiles in the records and a Chrome
-                                trace-event JSON at the given path
-
-   `--backend mem|file|faulty` (anywhere on the line) picks the storage
-   backend for every workload-created store: `file` spills blocks to
-   per-store temp files, `faulty` injects deterministic transient
-   faults (fixed seed) whose retries show up in the trace lengths and
-   the JSON `retries` field.
-
-   `--shards K` stripes every workload store across K inner devices
-   (domain-parallel, PRP fan-out; see DESIGN.md §9) — a physical-only
-   knob whose traces stay bit-identical to the plain run.
-
-   `--journal` (JSON mode) runs each selected entry twice — write-ahead
-   journal off, then on (DESIGN.md §10) — so the WAL's overhead lands as
-   paired records in one BENCH_core.json.
-
-   `--servers K` (JSON mode) sizes the stripe of E18's multi-server
-   compaction leg — K non-colluding servers splitting the two-server
-   protocol's schedule (DESIGN.md §14).
-
-   `--sorter NAME` (JSON mode) narrows E15's engine head-to-head to one
-   sorting engine (batcher | columnsort | bucket | ...), so a CI matrix
-   can run one leg per engine.
-
-   `--cipher none|prf_xor|chacha20` seals every workload store under the
-   named keystream engine (fixed benchmark key), and `--seal-domains K`
-   fans run sealing across K worker domains — both physical-only knobs
-   whose traces stay bit-identical to the plaintext run. E16 (JSON mode)
-   is the seal/unseal throughput microbench. *)
+(* The experiment harness: parses the command line once into a
+   [Workloads.config], runs the selected experiments, and renders their
+   reports as text tables or as BENCH_core.json. [usage] is the manual. *)
 
 open Bechamel
 open Toolkit
+module Ext_sort = Odex_sortnet.Ext_sort
+module Registry = Odex_obcheck.Registry
 
-let wallclock_tests () =
-  let open Odex_extmem in
+let sorter_names = List.map Ext_sort.name Ext_sort.all
+
+let ciphers =
+  Odex_crypto.Cipher.[ ("none", None); ("prf_xor", Some Prf_xor); ("chacha20", Some Chacha20) ]
+
+let usage =
+  Printf.sprintf
+    "Usage: main.exe [--json] [OPTION ...] [ID ...]\n\
+     \n\
+     Runs the experiments of DESIGN.md's index and prints their tables, or\n\
+     with --json writes their records to BENCH_core.json (overwritten). IDs\n\
+     are E1 ... E18 and `time` (Bechamel wall-clock micro-benches); no ID\n\
+     runs all of them. Every option means the same in both output modes.\n\
+     \n\
+     Options:\n\
+    \  --json             write records to BENCH_core.json instead of tables\n\
+    \  --backend NAME     store every workload on %s\n\
+    \  --shards K         stripe every workload store across K devices (K >= 1)\n\
+    \  --servers K        width of E18's multi-server stripe (K >= 2, default 2)\n\
+    \  --journal          run every experiment twice: journal off, then on\n\
+    \  --cipher NAME      seal every workload store: %s\n\
+    \  --seal-domains K   fan run sealing across K domains (K >= 1)\n\
+    \  --sorter NAME      narrow E15 to one sorting engine (batcher = bitonic):\n\
+    \                     %s\n\
+    \  --profile PATH     collect telemetry: per-phase latency percentiles in the\n\
+    \                     records, and a Chrome trace-event file at PATH\n\
+    \  --help             print this text\n\
+     \n\
+     Exit status: 0 on success; 1 when a checked claim fails (E1 sees a Lemma 5\n\
+     collision, an E2 row's I/Os differ from 2*ceil(N/B), or E18's multi-server\n\
+     I/Os are not below the single-server I/Os); 2 on a usage error.\n"
+    (String.concat " | " Registry.backend_names)
+    (String.concat " | " (List.map fst ciphers))
+    (String.concat " | " sorter_names)
+
+(* ---- wall-clock micro-benches (`time`) ---- *)
+
+let wallclock_tests cfg =
   let b = 8 in
   let n = 8192 in
-  let fresh shape =
+  let uniform f =
     let rng = Odex_crypto.Rng.create ~seed:42 in
-    Workloads.array ~rng ~b ~n shape
+    Workloads.with_array cfg ~rng ~b ~n Workloads.Uniform (fun _ a -> f a)
   in
+  let blocks ~occupied f = Workloads.with_blocks cfg ~b ~n:2048 ~occupied (fun _ a -> f a) in
   [
     Test.make ~name:"sort-thm21-8k" (Staged.stage (fun () ->
-        let _, a = fresh Workloads.Uniform in
-        let rng = Odex_crypto.Rng.create ~seed:1 in
-        ignore (Odex.Sort.run ~sweep:false ~m:64 ~rng a)));
+        uniform (fun a ->
+            let rng = Odex_crypto.Rng.create ~seed:1 in
+            ignore (Odex.Sort.run ~sweep:false ~m:64 ~rng a))));
     Test.make ~name:"sort-bitonic-win-8k" (Staged.stage (fun () ->
-        let _, a = fresh Workloads.Uniform in
-        Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.bitonic_windowed ~m:64 a));
+        uniform (Ext_sort.run Ext_sort.bitonic_windowed ~m:64)));
     Test.make ~name:"selection-8k" (Staged.stage (fun () ->
-        let _, a = fresh Workloads.Uniform in
-        let rng = Odex_crypto.Rng.create ~seed:2 in
-        ignore (Odex.Selection.select ~m:64 ~rng ~k:(n / 2) a)));
+        uniform (fun a ->
+            let rng = Odex_crypto.Rng.create ~seed:2 in
+            ignore (Odex.Selection.select ~m:64 ~rng ~k:(n / 2) a))));
     Test.make ~name:"quantiles-q4-8k" (Staged.stage (fun () ->
-        let _, a = fresh Workloads.Uniform in
-        let rng = Odex_crypto.Rng.create ~seed:3 in
-        ignore (Odex.Quantiles.run ~m:64 ~rng ~q:4 a)));
+        uniform (fun a ->
+            let rng = Odex_crypto.Rng.create ~seed:3 in
+            ignore (Odex.Quantiles.run ~m:64 ~rng ~q:4 a))));
     Test.make ~name:"butterfly-compact-2k" (Staged.stage (fun () ->
-        let _, a = Workloads.consolidated_blocks ~b ~n:2048 ~occupied:700 () in
-        ignore (Odex.Butterfly.compact ~m:64 a)));
+        blocks ~occupied:700 (fun a -> ignore (Odex.Butterfly.compact ~m:64 a))));
     Test.make ~name:"loose-compact-2k" (Staged.stage (fun () ->
-        let _, a = Workloads.consolidated_blocks ~b ~n:2048 ~occupied:256 () in
-        let rng = Odex_crypto.Rng.create ~seed:4 in
-        ignore (Odex.Loose_compaction.run ~m:64 ~rng ~capacity:512 a)));
+        blocks ~occupied:256 (fun a ->
+            let rng = Odex_crypto.Rng.create ~seed:4 in
+            ignore (Odex.Loose_compaction.run ~m:64 ~rng ~capacity:512 a))));
     Test.make ~name:"consolidation-8k" (Staged.stage (fun () ->
-        let _, a = fresh Workloads.Uniform in
-        ignore (Odex.Consolidation.run ~into:None a)));
+        uniform (fun a -> ignore (Odex.Consolidation.run ~into:None a))));
     Test.make ~name:"iblt-insert-1k" (Staged.stage (fun () ->
         let t = Odex_iblt.Iblt.create ~size:8192 (Odex_crypto.Prf.key_of_int 5) in
         for x = 0 to 999 do
           Odex_iblt.Iblt.insert t ~key:x ~value:x
         done));
     Test.make ~name:"sort-columnsort-8k" (Staged.stage (fun () ->
-        let _, a = fresh Workloads.Uniform in
-        Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.columnsort ~m:128 a));
+        uniform (Ext_sort.run Ext_sort.columnsort ~m:128)));
     (* m = 128 >= the default-Z bucket geometry's 114-block floor at
        B = 8, so this times the butterfly pipeline, not the fallback. *)
     Test.make ~name:"sort-bucket-8k" (Staged.stage (fun () ->
-        let _, a = fresh Workloads.Uniform in
-        Odex_sortnet.Ext_sort.run (Odex_sortnet.Ext_sort.bucket ()) ~m:128 a));
+        uniform (Ext_sort.run (Ext_sort.bucket ()) ~m:128)));
     Test.make ~name:"hier-oram-access-1k" (Staged.stage (fun () ->
-        let s = Storage.create ~trace_mode:Trace.Off ~block_size:4 () in
-        let rng = Odex_crypto.Rng.create ~seed:7 in
-        let t = Odex_oram.Hierarchical_oram.init ~m:64 ~rng s ~values:(Array.make 1024 0) in
-        for i = 1 to 64 do
-          ignore (Odex_oram.Hierarchical_oram.read t (i mod 1024))
-        done));
+        Workloads.with_store cfg ~b:4 (fun s ->
+            let rng = Odex_crypto.Rng.create ~seed:7 in
+            let t =
+              Odex_oram.Hierarchical_oram.init ~m:64 ~rng s ~values:(Array.make 1024 0)
+            in
+            for i = 1 to 64 do
+              ignore (Odex_oram.Hierarchical_oram.read t (i mod 1024))
+            done)));
     Test.make ~name:"sqrt-oram-epoch-1k" (Staged.stage (fun () ->
-        let s = Storage.create ~trace_mode:Trace.Off ~block_size:4 () in
-        let rng = Odex_crypto.Rng.create ~seed:6 in
-        let t = Odex_oram.Sqrt_oram.init ~m:64 ~rng s ~values:(Array.make 1024 0) in
-        while Odex_oram.Sqrt_oram.epochs t < 1 do
-          ignore (Odex_oram.Sqrt_oram.read t 0)
-        done));
+        Workloads.with_store cfg ~b:4 (fun s ->
+            let rng = Odex_crypto.Rng.create ~seed:6 in
+            let t = Odex_oram.Sqrt_oram.init ~m:64 ~rng s ~values:(Array.make 1024 0) in
+            while Odex_oram.Sqrt_oram.epochs t < 1 do
+              ignore (Odex_oram.Sqrt_oram.read t 0)
+            done)));
   ]
 
-let run_wallclock () =
-  print_endline "\n== Wall-clock micro-benches (Bechamel, monotonic clock) ==";
+let wallclock cfg =
   let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-  let tests = Test.make_grouped ~name:"odex" ~fmt:"%s %s" (wallclock_tests ()) in
-  let raw = Benchmark.all cfg instances tests in
+  let bcfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
+  let tests = Test.make_grouped ~name:"odex" ~fmt:"%s %s" (wallclock_tests cfg) in
+  let raw = Benchmark.all bcfg instances tests in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ ns_per_run ] -> rows := (name, ns_per_run) :: !rows
-      | _ -> ())
-    results;
-  let rows = List.sort compare !rows in
-  List.iter
-    (fun (name, ns) ->
-      if ns >= 1e6 then Printf.printf "  %-34s %10.2f ms/run\n" name (ns /. 1e6)
-      else Printf.printf "  %-34s %10.2f us/run\n" name (ns /. 1e3))
-    rows
+  let rows =
+    Hashtbl.fold
+      (fun name result acc ->
+        match Analyze.OLS.estimates result with
+        | Some [ ns ] ->
+            let per_run =
+              if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
+              else Printf.sprintf "%.2f us" (ns /. 1e3)
+            in
+            [ name; per_run ] :: acc
+        | _ -> acc)
+      results []
+  in
+  Experiments.report
+    [
+      Table.make ~title:"Wall-clock micro-benches (Bechamel, monotonic clock)"
+        ~header:[ "bench"; "time per run" ] (List.sort compare rows);
+    ]
 
-(* Pull `--backend NAME` out of the argument list, wherever it appears. *)
-let rec extract_backend = function
-  | [] -> (None, [])
-  | "--backend" :: name :: rest ->
-      let _, cleaned = extract_backend rest in
-      (Some name, cleaned)
-  | [ "--backend" ] -> failwith "--backend needs an argument (mem | file | faulty)"
-  | arg :: rest ->
-      let backend, cleaned = extract_backend rest in
-      (backend, arg :: cleaned)
+let entries = Experiments.all @ [ ("time", wallclock) ]
 
-(* Pull `--profile PATH` out likewise (JSON mode only: enables telemetry
-   on every workload storage and writes a Chrome trace there). *)
-let rec extract_profile = function
-  | [] -> (None, [])
-  | "--profile" :: path :: rest ->
-      let _, cleaned = extract_profile rest in
-      (Some path, cleaned)
-  | [ "--profile" ] -> failwith "--profile needs an output path"
-  | arg :: rest ->
-      let profile, cleaned = extract_profile rest in
-      (profile, arg :: cleaned)
+(* ---- the command line ---- *)
 
-(* Pull `--shards K` out likewise. *)
-let rec extract_shards = function
-  | [] -> (None, [])
-  | "--shards" :: k :: rest ->
-      let shards =
-        match int_of_string_opt k with
-        | Some k when k >= 1 -> k
-        | _ -> failwith "--shards needs a positive integer"
-      in
-      let _, cleaned = extract_shards rest in
-      (Some shards, cleaned)
-  | [ "--shards" ] -> failwith "--shards needs a shard count"
-  | arg :: rest ->
-      let shards, cleaned = extract_shards rest in
-      (shards, arg :: cleaned)
+type mode = Text | Json
 
-(* Pull `--servers K` out likewise (JSON mode: the stripe width of
-   E18's multi-server compaction leg). *)
-let rec extract_servers = function
-  | [] -> (None, [])
-  | "--servers" :: k :: rest ->
-      let servers =
-        match int_of_string_opt k with
-        | Some k when k >= 2 -> k
-        | _ -> failwith "--servers needs an integer >= 2"
-      in
-      let _, cleaned = extract_servers rest in
-      (Some servers, cleaned)
-  | [ "--servers" ] -> failwith "--servers needs a server count"
-  | arg :: rest ->
-      let servers, cleaned = extract_servers rest in
-      (servers, arg :: cleaned)
+(* One pass over the arguments; [Error] carries the first complaint. *)
+let parse args =
+  let open Workloads in
+  let ( let* ) = Result.bind in
+  let count flag ~min v =
+    match int_of_string_opt v with
+    | Some k when k >= min -> Ok k
+    | _ -> Error (Printf.sprintf "%s needs an integer >= %d, got %S" flag min v)
+  in
+  let one_of what names v =
+    if List.mem v names then Ok v
+    else Error (Printf.sprintf "unknown %s %S (available: %s)" what v (String.concat " " names))
+  in
+  (* The options that take a value, each with its validating setter. *)
+  let setters =
+    [
+      ( "--backend",
+        fun cfg v ->
+          let* v = one_of "backend" Registry.backend_names v in
+          Ok { cfg with backend = v } );
+      ( "--shards",
+        fun cfg v ->
+          let* k = count "--shards" ~min:1 v in
+          Ok { cfg with shards = k } );
+      ( "--servers",
+        fun cfg v ->
+          let* k = count "--servers" ~min:2 v in
+          Ok { cfg with servers = k } );
+      ( "--seal-domains",
+        fun cfg v ->
+          let* k = count "--seal-domains" ~min:1 v in
+          Ok { cfg with seal_domains = k } );
+      ( "--cipher",
+        fun cfg v ->
+          let* v = one_of "cipher" (List.map fst ciphers) v in
+          Ok { cfg with cipher = List.assoc v ciphers } );
+      ( "--sorter",
+        fun cfg v ->
+          let* v = if Ext_sort.find v = None then one_of "sorter" sorter_names v else Ok v in
+          Ok { cfg with sorter = Some v } );
+      ("--profile", fun cfg v -> Ok { cfg with profile = Some v });
+    ]
+  in
+  let rec go cfg mode ids = function
+    | [] -> Ok (cfg, mode, List.rev ids)
+    | "--json" :: rest -> go cfg Json ids rest
+    | "--journal" :: rest -> go { cfg with journal = true } mode ids rest
+    | flag :: rest when List.mem_assoc flag setters -> (
+        match rest with
+        | [] -> Error (Printf.sprintf "%s needs a value" flag)
+        | v :: rest ->
+            let* cfg = List.assoc flag setters cfg v in
+            go cfg mode ids rest)
+    | id :: rest when List.mem_assoc id entries -> go cfg mode (id :: ids) rest
+    | arg :: _ when String.starts_with ~prefix:"-" arg ->
+        Error (Printf.sprintf "unknown option %S" arg)
+    | arg :: _ -> Error (Printf.sprintf "unknown experiment %S" arg)
+  in
+  go default Text [] args
 
-(* Pull `--sorter NAME` out likewise (JSON mode: narrow E15's engine
-   sweep to the named sorter — one matrix leg per CI job). *)
-let rec extract_sorter = function
-  | [] -> (None, [])
-  | "--sorter" :: name :: rest ->
-      let _, cleaned = extract_sorter rest in
-      (Some name, cleaned)
-  | [ "--sorter" ] -> failwith "--sorter needs an engine name (batcher | columnsort | bucket)"
-  | arg :: rest ->
-      let sorter, cleaned = extract_sorter rest in
-      (sorter, arg :: cleaned)
-
-(* Pull `--cipher NAME` out likewise (none | prf_xor | chacha20). *)
-let rec extract_cipher = function
-  | [] -> (None, [])
-  | "--cipher" :: name :: rest ->
-      let _, cleaned = extract_cipher rest in
-      (Some name, cleaned)
-  | [ "--cipher" ] -> failwith "--cipher needs an engine name (none | prf_xor | chacha20)"
-  | arg :: rest ->
-      let cipher, cleaned = extract_cipher rest in
-      (cipher, arg :: cleaned)
-
-(* Pull `--seal-domains K` out likewise. *)
-let rec extract_seal_domains = function
-  | [] -> (None, [])
-  | "--seal-domains" :: k :: rest ->
-      let d =
-        match int_of_string_opt k with
-        | Some d when d >= 1 -> d
-        | _ -> failwith "--seal-domains needs a positive integer"
-      in
-      let _, cleaned = extract_seal_domains rest in
-      (Some d, cleaned)
-  | [ "--seal-domains" ] -> failwith "--seal-domains needs a domain count"
-  | arg :: rest ->
-      let d, cleaned = extract_seal_domains rest in
-      (d, arg :: cleaned)
-
-(* Pull the bare `--journal` flag out likewise (JSON mode: run each
-   selected entry journal-off then journal-on, recording both). *)
-let extract_journal args =
-  (List.mem "--journal" args, List.filter (fun a -> a <> "--journal") args)
+(* ---- running and rendering ---- *)
 
 let () =
-  let backend, args = extract_backend (List.tl (Array.to_list Sys.argv)) in
-  let profile, args = extract_profile args in
-  let shards, args = extract_shards args in
-  let servers, args = extract_servers args in
-  let sorter, args = extract_sorter args in
-  let cipher, args = extract_cipher args in
-  let seal_domains, args = extract_seal_domains args in
-  let journal, args = extract_journal args in
-  match args with
-  | "--json" :: ids ->
-      Json_bench.run ?backend ?shards ?servers ~journal ?cipher ?seal_domains ?sorter ?profile
-        ids
-  | args ->
-      let backend_name = Option.value backend ~default:"mem" in
-      let shard_count = Option.value shards ~default:1 in
-      if backend <> None || shard_count > 1 then
-        Workloads.default_backend :=
-          (fun () -> Odex_obcheck.Registry.backend_spec ~shards:shard_count backend_name);
-      (match cipher with
-      | None | Some "none" -> ()
-      | Some ("prf_xor" | "chacha20") ->
-          Workloads.cipher := Some (Odex_crypto.Cipher.key_of_int 0x0dec);
-          Workloads.cipher_engine :=
-            (if cipher = Some "chacha20" then Odex_crypto.Cipher.Chacha20
-             else Odex_crypto.Cipher.Prf_xor)
-      | Some other -> failwith (Printf.sprintf "unknown cipher %S" other));
-      Workloads.seal_domains := Option.value seal_domains ~default:1;
-      Fun.protect ~finally:Workloads.cleanup (fun () ->
-          let want id = args = [] || List.mem id args in
-          List.iter (fun (id, f) -> if want id then f ()) Experiments.all;
-          if args = [] || List.mem "time" args then run_wallclock ())
+  let args = List.tl (Array.to_list Sys.argv) in
+  if List.mem "--help" args then begin
+    print_string usage;
+    exit 0
+  end;
+  let cfg, mode, ids =
+    match parse args with
+    | Ok parsed -> parsed
+    | Error msg ->
+        Printf.eprintf "main.exe: %s\n\n%s" msg usage;
+        exit 2
+  in
+  let selected = List.filter (fun (id, _) -> ids = [] || List.mem id ids) entries in
+  (* With --journal every experiment runs journal-off first, so the
+     bare-store records keep their place, then journal-on. *)
+  let passes =
+    if cfg.journal then [ { cfg with journal = false }; cfg ] else [ cfg ]
+  in
+  let reports =
+    List.concat_map
+      (fun cfg ->
+        List.map
+          (fun (_, run) ->
+            let r : Experiments.report = run cfg in
+            if mode = Text then List.iter Table.print r.tables;
+            List.iter (Printf.eprintf "FAILED %s\n%!") r.failures;
+            r)
+          selected)
+      passes
+  in
+  let records = List.concat_map (fun (r : Experiments.report) -> r.records) reports in
+  if mode = Json then begin
+    Record.write_json ~path:"BENCH_core.json" records;
+    Printf.printf "wrote BENCH_core.json (%d records)\n" (List.length records)
+  end;
+  Option.iter
+    (fun path ->
+      let sinks =
+        List.filter_map
+          (fun (r : Record.t) ->
+            if Odex_telemetry.Telemetry.enabled r.c.telemetry then
+              Some (Printf.sprintf "%s/%s" r.experiment r.name, r.c.telemetry)
+            else None)
+          records
+      in
+      Odex_telemetry.Telemetry.write_chrome ~path sinks;
+      Printf.printf "wrote %s (%d profiled runs, Chrome trace-event JSON)\n" path
+        (List.length sinks))
+    cfg.profile;
+  if List.exists (fun (r : Experiments.report) -> r.failures <> []) reports then exit 1

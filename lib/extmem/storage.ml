@@ -317,6 +317,7 @@ let telemetry t = t.tel
 let backend_kind t = t.kind
 let batching t = t.batching
 let cipher_engine t = t.engine
+let sealed t = Option.is_some t.cipher
 let seal_domains t = t.seal_domains
 let faults_injected t = Backend.faults_injected t.backend
 let scratch_bytes t = Bigbuf.length t.run_buf
@@ -391,10 +392,15 @@ let sync t =
   checkpoint_header t;
   Backend.sync t.backend
 
+(* The pool closes last: a journal outside a stripe commits its pending
+   tail on [Backend.close], and that commit dispatches through the
+   stripe onto the pool. *)
 let close t =
-  Workers.close t.pool;
-  checkpoint_header t;
-  Backend.close t.backend
+  Fun.protect
+    ~finally:(fun () -> Workers.close t.pool)
+    (fun () ->
+      checkpoint_header t;
+      Backend.close t.backend)
 
 (* Simulate a kill: release every descriptor with no header checkpoint,
    no journal commit, no flush — the on-disk state stays exactly as the

@@ -186,6 +186,10 @@ val cipher_engine : t -> Odex_crypto.Cipher.engine
 (** The keystream engine this store seals under (meaningful only when a
     cipher key was supplied; reported regardless). *)
 
+val sealed : t -> bool
+(** Whether the store was created with a cipher key, i.e. its blocks
+    are sealed under {!cipher_engine}; [false] for a plaintext store. *)
+
 val seal_domains : t -> int
 (** Total domains participating in run sealing (1 = serial). *)
 

@@ -11,14 +11,18 @@ let now_ns = Monotonic_clock.now
 
 (* Bucket [i] holds samples with [2^i <= ns < 2^(i+1)] (bucket 0 also
    takes 0 ns). 63 buckets cover every positive int64 the clock can
-   produce. *)
+   produce. [min_ns]/[max_ns] bound the percentile estimates to the
+   observed range. *)
 type hist = {
   buckets : int array;
   mutable count : int;
   mutable total_ns : int64;
+  mutable min_ns : int64;
+  mutable max_ns : int64;
 }
 
-let hist_create () = { buckets = Array.make 63 0; count = 0; total_ns = 0L }
+let hist_create () =
+  { buckets = Array.make 63 0; count = 0; total_ns = 0L; min_ns = Int64.max_int; max_ns = 0L }
 
 let bucket_of_ns ns =
   let ns = Int64.to_int ns in
@@ -31,14 +35,17 @@ let hist_add h ns =
   let ns = if Int64.compare ns 0L < 0 then 0L else ns in
   h.buckets.(bucket_of_ns ns) <- h.buckets.(bucket_of_ns ns) + 1;
   h.count <- h.count + 1;
-  h.total_ns <- Int64.add h.total_ns ns
+  h.total_ns <- Int64.add h.total_ns ns;
+  if Int64.compare ns h.min_ns < 0 then h.min_ns <- ns;
+  if Int64.compare ns h.max_ns > 0 then h.max_ns <- ns
 
 let hist_count h = h.count
 let hist_total_ns h = h.total_ns
 
-(* Geometric midpoint of the bucket holding the requested rank: crude
-   (a factor-sqrt(2) resolution) but monotone, allocation-free and
-   plenty to see where a 2x hides. *)
+(* Geometric midpoint of the bucket holding the requested rank, clamped
+   to the observed [min_ns, max_ns]: crude (a factor-sqrt(2) resolution)
+   but monotone, allocation-free, plenty to see where a 2x hides, and
+   never outside the samples (a single sample reports itself). *)
 let hist_percentile h p =
   if h.count = 0 then 0.
   else begin
@@ -56,7 +63,7 @@ let hist_percentile h p =
        done
      with Exit -> ());
     let lo = if !found = 0 then 1. else Float.pow 2. (float_of_int !found) in
-    lo *. sqrt 2.
+    Float.min (Int64.to_float h.max_ns) (Float.max (Int64.to_float h.min_ns) (lo *. sqrt 2.))
   end
 
 (* ---- sink ---- *)

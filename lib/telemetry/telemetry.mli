@@ -99,7 +99,10 @@ val hist_total_ns : hist -> int64
 val hist_percentile : hist -> float -> float
 (** [hist_percentile h p] estimates the [p]-th percentile latency in
     nanoseconds ([0. <= p <= 100.]), as the geometric midpoint of the
-    bucket holding that rank. [0.] on an empty histogram. *)
+    bucket holding that rank, clamped to the smallest and largest
+    sample recorded — so every percentile lies inside the observed
+    range, and a single-sample histogram reports that sample. [0.] on
+    an empty histogram. *)
 
 type op_stat = {
   op : op_kind;

@@ -2,7 +2,7 @@
 # check_bench_floor.sh BENCH_core.json bench/mb_per_s.floor [mode]
 #
 # Guards the batching win: fails if the E2 file-backend throughput
-# (mb_per_s of the largest consolidation workload) regresses more than
+# (mb_per_s of the 16384-cell consolidation workload) regresses more than
 # 30% below the checked-in floor. The floor file holds one number,
 # refreshed by hand from a local `--json E2 --backend file` run when the
 # I/O path legitimately changes.
@@ -50,13 +50,16 @@ fi
 
 floor=$(tr -d ' \n' < "$floor_file")
 
-# Pull mb_per_s from the E2 record with the largest n_cells on the file
-# backend. The bench writes one record per line, so line-oriented tools
-# are enough — no JSON parser dependency.
-measured=$(grep '"experiment":"E2"' "$json" \
+# Pull mb_per_s from the record the floor was calibrated on: E2's
+# whole-array consolidation of 16384 cells on the bare file backend (the
+# E2 sweep also records other sizes and densities). The bench writes one
+# record per line, so line-oriented tools are enough — no JSON parser
+# dependency.
+measured=$(grep '"experiment":"E2","name":"consolidation",' "$json" \
   | grep '"backend":"file"' \
-  | sed 's/.*"n_cells":\([0-9]*\).*"mb_per_s":\([0-9.]*\).*/\1 \2/' \
-  | sort -n | tail -1 | cut -d' ' -f2)
+  | grep '"n_cells":16384,' \
+  | sed 's/.*"mb_per_s":\([0-9.]*\).*/\1/' \
+  | tail -1)
 
 [ -n "$measured" ] || { echo "check_bench_floor: no E2 file record in $json" >&2; exit 1; }
 

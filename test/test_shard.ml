@@ -405,6 +405,52 @@ let test_sharded_file_persistence () =
             | Cell.Empty -> Alcotest.failf "block %d empty after reopen" i
           done))
 
+(* A journal outside the stripe commits its pending tail through the
+   stripe on close, so the store's pool must still be open then: closing
+   with records pending must not raise, must apply the group, and must
+   release every descriptor. *)
+let test_journaled_stripe_close k () =
+  let path = Filename.temp_file "odex_shardtest" ".store" in
+  let jpath = Filename.temp_file "odex_shardtest" ".journal" in
+  let backend =
+    Storage.Journaled
+      {
+        inner = Storage.Sharded { inner = Storage.File { path }; shards = k; seed = stripe_seed };
+        path = jpath;
+        durable = false;
+      }
+  in
+  let open_fds () =
+    if Sys.file_exists "/proc/self/fd" then Some (Array.length (Sys.readdir "/proc/self/fd"))
+    else None
+  in
+  Fun.protect
+    ~finally:(fun () -> Storage.remove_spec_files backend)
+    (fun () ->
+      let before = open_fds () in
+      let n = 8 in
+      let s = Storage.create ~backend ~block_size:4 () in
+      let base = Storage.alloc s n in
+      Storage.write_many s base
+        (Array.init n (fun i ->
+             let blk = Block.make 4 in
+             blk.(0) <- Cell.item ~key:(200 + i) ~value:i ();
+             blk));
+      Storage.close s;
+      Alcotest.(check (option int)) "close released every descriptor" before (open_fds ());
+      let s = Storage.create ~backend ~resume:true ~block_size:4 () in
+      Fun.protect
+        ~finally:(fun () -> Storage.close s)
+        (fun () ->
+          let blks = Storage.read_many s base n in
+          Array.iteri
+            (fun i blk ->
+              match blk.(0) with
+              | Cell.Item it -> Alcotest.(check int) (Printf.sprintf "block %d" i) (200 + i) it.key
+              | Cell.Empty -> Alcotest.failf "block %d empty after reopen" i)
+            blks);
+      Alcotest.(check (option int)) "reopen released every descriptor" before (open_fds ()))
+
 let test_nested_sharded_rejected () =
   let backend =
     Storage.Sharded
@@ -431,5 +477,9 @@ let suite =
     Alcotest.test_case "file persistence across reopen [K=3]" `Quick
       test_sharded_file_persistence;
     Alcotest.test_case "nested sharding rejected" `Quick test_nested_sharded_rejected;
+    Alcotest.test_case "journaled stripe closes with records pending [K=2]" `Quick
+      (test_journaled_stripe_close 2);
+    Alcotest.test_case "journaled stripe closes with records pending [K=4]" `Quick
+      (test_journaled_stripe_close 4);
   ]
   @ parity_cases @ sharded_pair_cases

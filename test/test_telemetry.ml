@@ -43,7 +43,7 @@ let test_histogram_percentiles () =
     let ns = Int64.of_int (if i <= 50 then 100 else if i <= 90 then 10_000 else 1_000_000) in
     Telemetry.record_op t ~backend:"mem" ~op:Telemetry.Read ~blocks:1 ~bytes:8 ~ns
   done;
-  match Telemetry.op_stats t with
+  (match Telemetry.op_stats t with
   | [ st ] ->
       let h = st.Telemetry.latency in
       Alcotest.(check int) "count" 100 (Telemetry.hist_count h);
@@ -55,7 +55,24 @@ let test_histogram_percentiles () =
       Alcotest.(check bool) "p50 near 100ns bucket" true (p50 >= 64. && p50 < 256.);
       Alcotest.(check bool) "p90 near 10us bucket" true (p90 >= 8192. && p90 < 32768.);
       Alcotest.(check bool) "p99 near 1ms bucket" true (p99 >= 524288. && p99 < 2097152.);
-      Alcotest.(check bool) "percentiles monotone" true (p50 <= p90 && p90 <= p99)
+      Alcotest.(check bool) "percentiles monotone" true (p50 <= p90 && p90 <= p99);
+      (* Clamped to the observed range: min <= p50 <= p99 <= max. *)
+      Alcotest.(check bool) "min <= p50 <= p99 <= max" true
+        (100. <= p50 && p50 <= p99 && p99 <= 1_000_000.);
+      Alcotest.(check (float 0.)) "p0 is the minimum" 100. (Telemetry.hist_percentile h 0.)
+  | l -> Alcotest.failf "expected one op stat, got %d" (List.length l));
+  (* A single sample: every percentile is that sample, never its bucket's
+     midpoint (2138 us sits in the 2^21 ns bucket, midpoint ~2966 us). *)
+  let t = Telemetry.create () in
+  Telemetry.record_op t ~backend:"mem" ~op:Telemetry.Write ~blocks:1 ~bytes:8 ~ns:2_138_000L;
+  match Telemetry.op_stats t with
+  | [ st ] ->
+      List.iter
+        (fun p ->
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "single-sample p%g" p)
+            2_138_000. (Telemetry.hist_percentile st.Telemetry.latency p))
+        [ 0.; 50.; 90.; 99.; 100. ]
   | l -> Alcotest.failf "expected one op stat, got %d" (List.length l)
 
 (* ---------------- storage instrumentation ---------------- *)
