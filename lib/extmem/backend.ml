@@ -10,9 +10,6 @@ module type S = sig
   val ensure : t -> int -> unit
   val size : t -> int
 
-  val read : t -> int -> buf:Bigbuf.t -> off:int -> unit
-  val write : t -> int -> buf:Bigbuf.t -> off:int -> unit
-
   val read_run : t -> addr:int -> count:int -> payload:int -> buf:Bigbuf.t -> off:int -> unit
   val write_run : t -> addr:int -> count:int -> payload:int -> buf:Bigbuf.t -> off:int -> unit
 
@@ -58,21 +55,20 @@ let kind (Packed ((module B), _)) = B.kind
 let payload_bytes (Packed ((module B), b)) = B.payload_bytes b
 let ensure (Packed ((module B), b)) n = B.ensure b n
 let size (Packed ((module B), b)) = B.size b
-let read_into (Packed ((module B), b)) addr ~buf ~off = B.read b addr ~buf ~off
-let write_from (Packed ((module B), b)) addr ~buf ~off = B.write b addr ~buf ~off
-
-(* bytes convenience for cold paths and tests: one staging buffer per
-   call. The sealing fast path goes through [read_into]/[write_from]
-   against a long-lived buffer instead. *)
+(* bytes convenience for cold paths and tests: a one-block run through
+   one staging buffer per call. Storage moves blocks through long-lived
+   buffers with [read_run]/[write_run] instead. *)
 let read (Packed ((module B), b)) addr =
-  let buf = Bigbuf.create (B.payload_bytes b) in
-  B.read b addr ~buf ~off:0;
+  let payload = B.payload_bytes b in
+  let buf = Bigbuf.create payload in
+  B.read_run b ~addr ~count:1 ~payload ~buf ~off:0;
   Bigbuf.to_bytes buf
 
 let write (Packed ((module B), b)) addr payload =
   if Bytes.length payload <> B.payload_bytes b then
     invalid_arg "Backend.write: payload has wrong size";
-  B.write b addr ~buf:(Bigbuf.of_bytes payload) ~off:0
+  B.write_run b ~addr ~count:1 ~payload:(Bytes.length payload) ~buf:(Bigbuf.of_bytes payload)
+    ~off:0
 
 let read_run (Packed ((module B), b)) ~addr ~count ~payload ~buf ~off =
   B.read_run b ~addr ~count ~payload ~buf ~off
@@ -92,12 +88,6 @@ let meta_capacity = 40
 let check_meta ~who m =
   if Bytes.length m > meta_capacity then
     invalid_arg (Printf.sprintf "%s: metadata exceeds %d bytes" who meta_capacity)
-
-(* Single-block region validation: [buf[off .. off+payload)] must exist
-   before any byte moves. *)
-let check_block ~who ~payload ~buf ~off =
-  if off < 0 || off + payload > Bigbuf.length buf then
-    invalid_arg (who ^ ": buffer region out of bounds")
 
 (* Shared run-argument validation: the whole window must be legal before
    any byte moves, so an out-of-bounds run raises without a partial
@@ -148,20 +138,6 @@ module Mem = struct
     if n > t.len then t.len <- n
 
   let size t = t.len
-
-  let check t addr =
-    if addr < 0 || addr >= t.len then
-      invalid_arg (Printf.sprintf "Backend.Mem: address %d out of bounds (%d)" addr t.len)
-
-  let read t addr ~buf ~off =
-    check t addr;
-    check_block ~who:"Backend.Mem.read" ~payload:t.payload ~buf ~off;
-    Bigbuf.blit t.arena (addr * t.payload) buf off t.payload
-
-  let write t addr ~buf ~off =
-    check t addr;
-    check_block ~who:"Backend.Mem.write" ~payload:t.payload ~buf ~off;
-    Bigbuf.blit buf off t.arena (addr * t.payload) t.payload
 
   let check_payload t payload who =
     if payload <> t.payload then
@@ -317,22 +293,7 @@ module File = struct
 
   let size t = t.blocks
 
-  let check t addr =
-    if t.closed then invalid_arg "Backend.File: store is closed";
-    if addr < 0 || addr >= t.blocks then
-      invalid_arg (Printf.sprintf "Backend.File: address %d out of bounds (%d)" addr t.blocks)
-
   let pos_of t addr = file_header_bytes + (addr * t.payload_size)
-
-  let read t addr ~buf ~off =
-    check t addr;
-    check_block ~who:"Backend.File.read" ~payload:t.payload_size ~buf ~off;
-    Bigio.read_all ~who:"Backend.File" t.fd ~pos:(pos_of t addr) buf ~off ~len:t.payload_size
-
-  let write t addr ~buf ~off =
-    check t addr;
-    check_block ~who:"Backend.File.write" ~payload:t.payload_size ~buf ~off;
-    Bigio.write_all t.fd ~pos:(pos_of t addr) buf ~off ~len:t.payload_size
 
   let check_run_payload t payload =
     if t.closed then invalid_arg "Backend.File: store is closed";
@@ -438,18 +399,10 @@ module Faulty = struct
   let read_meta t = read_meta t.inner
   let write_meta t m = write_meta t.inner m
 
-  let read t addr ~buf ~off =
-    gate t addr;
-    read_into t.inner addr ~buf ~off
-
-  let write t addr ~buf ~off =
-    gate t addr;
-    write_from t.inner addr ~buf ~off
-
-  (* Runs iterate block by block, gating each address exactly as the
-     per-block API would: the access counter — the schedule's only input
-     — advances once per block per attempt, so a batched run and a
-     per-block run replay byte-identical fault sequences. A Transient at
+  (* Runs iterate block by block, gating each address in turn: the
+     access counter — the schedule's only input — advances once per
+     block per attempt, so a run of [n] blocks and [n] runs of one replay
+     byte-identical fault sequences. A Transient at
      block [addr + i] leaves blocks [addr, addr + i) fully transferred,
      which is the resume contract {!Storage}'s retry loop relies on.
      Bounds are validated against the inner store before the first gate,
@@ -489,7 +442,7 @@ let faulty plan inner =
 
 let faults_injected (Packed ((module B), b)) = B.faults b
 
-(* ---------------- sharded, domain-parallel striping ---------------- *)
+(* ---------------- the striping map ---------------- *)
 
 (* K inner stores behind one logical address space. Logical block [a]
    belongs to group [g = a / K] with lane [j = a mod K] and lives on
@@ -508,18 +461,50 @@ let faults_injected (Packed ((module B), b)) = B.faults b
      exactly one contiguous inner run per shard. The batched fast path
      (one positioned transfer per device) survives under the stripe.
 
-   Runs big enough to amortize the handoff fan out across the store's
-   {!Workers} pool, one job per participating shard; smaller runs and
-   single-block ops execute inline on the caller's domain through the
-   same decomposition, so which mode ran never shows in the logical
-   trace. *)
+   {!Stripe} is the only place this arithmetic lives: the stripe
+   backend routes its transfers through it and {!Storage} records its
+   per-server traces through it. *)
+
+let shard_perm ~shards ~seed =
+  if shards < 1 then invalid_arg "Backend.sharded: shards must be >= 1";
+  let prp = Odex_crypto.Prp.create ~domain:shards (Odex_crypto.Prf.key_of_int seed) in
+  let perm = Array.init shards (Odex_crypto.Prp.apply prp) in
+  let perm_inv = Array.make shards 0 in
+  Array.iteri (fun j s -> perm_inv.(s) <- j) perm;
+  (perm, perm_inv)
+
+module Stripe = struct
+  type t = {
+    k : int;
+    perm : int array;  (** lane -> shard *)
+    perm_inv : int array;  (** shard -> lane *)
+  }
+
+  let create ~shards ~seed =
+    let perm, perm_inv = shard_perm ~shards ~seed in
+    { k = shards; perm; perm_inv }
+
+  let shards t = t.k
+  let shard t a = t.perm.(((a mod t.k) + (a / t.k)) mod t.k)
+  let inner t a = a / t.k
+  let route t a = (shard t a, inner t a)
+
+  let logical t ~shard ~inner =
+    let j = (t.perm_inv.(shard) - inner) mod t.k in
+    (inner * t.k) + if j < 0 then j + t.k else j
+end
+
+(* ---------------- sharded, domain-parallel striping ---------------- *)
+
+(* Runs big enough to amortize the handoff fan out across the store's
+   {!Workers} pool, one job per participating shard; smaller runs
+   execute inline on the caller's domain through the same
+   decomposition, so which mode ran never shows in the logical trace. *)
 
 module Sharded = struct
   type nonrec t = {
-    k : int;
+    stripe : Stripe.t;
     inners : t array;
-    perm : int array;  (** lane -> shard *)
-    perm_inv : int array;  (** shard -> lane *)
     mutable len : int;  (** Logical block count (inner sizes are rounded up). *)
     scratch : Bigbuf.t ref array;  (** Per-shard gather/scatter buffers. *)
     ops : int array;  (** Per-shard block ops, tallied by the coordinator. *)
@@ -530,25 +515,15 @@ module Sharded = struct
   let kind = "sharded"
 
   let payload_bytes t = payload_bytes t.inners.(0)
-
-  (* ---- the striping map ---- *)
-
-  let lane t s g =
-    let j = (t.perm_inv.(s) - g) mod t.k in
-    if j < 0 then j + t.k else j
-
-  let logical t s g = (g * t.k) + lane t s g
-
-  let route t a =
-    let g = a / t.k and j = a mod t.k in
-    (t.perm.((j + g) mod t.k), g)
+  let k t = Stripe.shards t.stripe
+  let logical t s g = Stripe.logical t.stripe ~shard:s ~inner:g
 
   (* Member inner-address interval of shard [s] within logical [lo, hi):
      [logical t s g] is strictly increasing in [g], so the members form
      one contiguous inner run (possibly empty). Interior groups always
      contribute; only the two boundary groups need the window check. *)
   let members t s ~lo ~hi =
-    let g0 = lo / t.k and g1 = (hi - 1) / t.k in
+    let g0 = lo / k t and g1 = (hi - 1) / k t in
     let gs = if logical t s g0 >= lo then g0 else g0 + 1 in
     let ge = if logical t s g1 < hi then g1 else g1 - 1 in
     if gs > ge then None else Some (gs, ge)
@@ -589,7 +564,7 @@ module Sharded = struct
 
   (* Below [2K] blocks a run cannot give every worker two blocks to
      stream; the handoff would dominate, so it runs inline. *)
-  let parallel_threshold t = 2 * t.k
+  let parallel_threshold t = 2 * k t
 
   let run_ops ~write t ~addr ~count ~payload ~buf ~off =
     let who = if write then "Backend.Sharded.write_run" else "Backend.Sharded.read_run" in
@@ -598,7 +573,7 @@ module Sharded = struct
     if count > 0 then begin
       let lo = addr and hi = addr + count in
       let jobs = ref [] in
-      for s = t.k - 1 downto 0 do
+      for s = k t - 1 downto 0 do
         match members t s ~lo ~hi with
         | None -> ()
         | Some (gs, ge) -> (
@@ -642,7 +617,7 @@ module Sharded = struct
             jobs := job :: !jobs)
       done;
       dispatch t
-        ~parallel:(t.k > 1 && count >= parallel_threshold t)
+        ~parallel:(k t > 1 && count >= parallel_threshold t)
         (Array.of_list !jobs)
     end
 
@@ -652,27 +627,10 @@ module Sharded = struct
   let write_run t ~addr ~count ~payload ~buf ~off =
     run_ops ~write:true t ~addr ~count ~payload ~buf ~off
 
-  let check_addr t a =
-    check_open t;
-    if a < 0 || a >= t.len then
-      invalid_arg (Printf.sprintf "Backend.Sharded: address %d out of bounds (%d)" a t.len)
-
-  let read t a ~buf ~off =
-    check_addr t a;
-    let s, g = route t a in
-    t.ops.(s) <- t.ops.(s) + 1;
-    read_into t.inners.(s) g ~buf ~off
-
-  let write t a ~buf ~off =
-    check_addr t a;
-    let s, g = route t a in
-    t.ops.(s) <- t.ops.(s) + 1;
-    write_from t.inners.(s) g ~buf ~off
-
   let ensure t n =
     check_open t;
     if n > t.len then begin
-      let groups = (n + t.k - 1) / t.k in
+      let groups = (n + k t - 1) / k t in
       Array.iter (fun inner -> ensure inner groups) t.inners;
       t.len <- n
     end
@@ -728,22 +686,8 @@ module Sharded = struct
 
   let faults t = Array.fold_left (fun acc inner -> acc + faults_injected inner) 0 t.inners
   let shard_ops t = Array.copy t.ops
-  let shard_count t = Some t.k
+  let shard_count t = Some (k t)
 end
-
-let shard_perm ~shards ~seed =
-  if shards < 1 then invalid_arg "Backend.sharded: shards must be >= 1";
-  let prp = Odex_crypto.Prp.create ~domain:shards (Odex_crypto.Prf.key_of_int seed) in
-  let perm = Array.init shards (Odex_crypto.Prp.apply prp) in
-  let perm_inv = Array.make shards 0 in
-  Array.iteri (fun j s -> perm_inv.(s) <- j) perm;
-  (perm, perm_inv)
-
-let shard_route ~shards ~seed a =
-  if a < 0 then invalid_arg "Backend.shard_route: negative address";
-  let perm, _ = shard_perm ~shards ~seed in
-  let g = a / shards and j = a mod shards in
-  (perm.((j + g) mod shards), g)
 
 let sharded ~seed ~pool inners =
   let k = Array.length inners in
@@ -757,13 +701,10 @@ let sharded ~seed ~pool inners =
           invalid_arg "Backend.sharded: inner stores disagree on payload size")
       inners
   end;
-  let perm, perm_inv = shard_perm ~shards:k ~seed in
   let t =
     {
-      Sharded.k;
+      Sharded.stripe = Stripe.create ~shards:k ~seed;
       inners;
-      perm;
-      perm_inv;
       len = Sharded.recover_len inners;
       scratch = Array.init k (fun _ -> ref (Bigbuf.create 0));
       ops = Array.make k 0;
@@ -808,14 +749,6 @@ module Instrumented = struct
   let size t = size t.inner
   let read_meta t = read_meta t.inner
   let write_meta t m = write_meta t.inner m
-
-  let read t addr ~buf ~off =
-    time t Tel.Read ~blocks:1 ~bytes:(payload_bytes t) (fun () ->
-        read_into t.inner addr ~buf ~off)
-
-  let write t addr ~buf ~off =
-    time t Tel.Write ~blocks:1 ~bytes:(payload_bytes t) (fun () ->
-        write_from t.inner addr ~buf ~off)
 
   let read_run t ~addr ~count ~payload ~buf ~off =
     time t Tel.Read_run ~blocks:count ~bytes:(count * payload) (fun () ->
@@ -863,14 +796,6 @@ module Crashing = struct
   let size t = size t.inner
   let read_meta t = read_meta t.inner
   let write_meta t m = write_meta t.inner m
-
-  let read t addr ~buf ~off =
-    gate t;
-    read_into t.inner addr ~buf ~off
-
-  let write t addr ~buf ~off =
-    gate t;
-    write_from t.inner addr ~buf ~off
 
   let read_run t ~addr ~count ~payload ~buf ~off =
     gate t;

@@ -16,6 +16,12 @@
       for exercising the retry path of {!Storage} under the
       obliviousness harness.
 
+    A block moves only as part of a run: {!S.read_run}/{!S.write_run}
+    are a backend's one read and one write entry point, and a single
+    block is a run of one. The paper's cost model counts one I/O per
+    block however the bytes travel, so {!Storage} counts blocks and the
+    backend only decides how a contiguous run reaches the device.
+
     All block transfers go through caller-owned {!Odex_crypto.Bigbuf}
     regions — the same off-heap buffers the cipher engines XOR in place
     — so a sealed payload travels device <-> cipher <-> codec without a
@@ -56,23 +62,16 @@ module type S = sig
   val size : t -> int
   (** Number of backed addresses (the [ensure] high-water mark). *)
 
-  val read : t -> int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit
-  (** [read t addr ~buf ~off] fills [buf[off .. off + payload_bytes)]
-      with the payload at [addr]. A never-written address reads as
-      zeros. *)
-
-  val write : t -> int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit
-  (** Store the [payload_bytes] bytes at [buf[off ..]] at [addr]. *)
-
   val read_run :
     t -> addr:int -> count:int -> payload:int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit
   (** [read_run t ~addr ~count ~payload ~buf ~off] fills
       [buf[off .. off + count*payload)] with the payloads of the
       contiguous block run [addr, addr + count) — a single positioned
       transfer on {!file}, one blit on {!mem}, and a per-block
-      fault-gated iteration on {!faulty}. [payload] must equal
-      [payload_bytes]. The whole window (addresses and buffer region) is
-      validated before any byte moves, so out-of-bounds runs raise
+      fault-gated iteration on {!faulty}. A never-written address reads
+      as zeros. [payload] must equal [payload_bytes]. The whole window
+      (addresses and buffer region) is validated before any byte moves,
+      so out-of-bounds runs raise
       without a partial transfer. On [Transient { addr = a }], blocks
       before [a] have been transferred and blocks from [a] on have not —
       the caller may resume the run at [a]. [count = 0] is a validated
@@ -123,15 +122,9 @@ val payload_bytes : t -> int
 val ensure : t -> int -> unit
 val size : t -> int
 
-val read_into : t -> int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit
-(** The zero-copy single-block read: fills [payload_bytes] bytes of the
-    caller's buffer in place. *)
-
-val write_from : t -> int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit
-
 val read : t -> int -> bytes
-(** Convenience for cold paths and tests: allocates a staging buffer,
-    {!read_into}s it and copies out. The sealing path never calls this. *)
+(** Convenience for cold paths and tests: a one-block {!read_run} into a
+    fresh staging buffer, copied out. The sealing path never calls this. *)
 
 val write : t -> int -> bytes -> unit
 (** Convenience mirror of {!read}: the payload must be exactly
@@ -213,8 +206,9 @@ val sharded : seed:int -> pool:Workers.t -> t array -> t
     [K >= 1], all with the same payload size). Logical block [a] belongs to group
     [g = a / K] and lives on shard [perm((a mod K + g) mod K)] at inner
     address [g], where [perm] is a keyed PRP of the lanes derived from
-    [seed] — a bijection, so every group of [K] consecutive logical
-    blocks touches all [K] devices, and a pure function of the block
+    [seed] (the map is {!Stripe}) — a bijection, so every group of [K]
+    consecutive logical blocks touches all [K] devices, and a pure
+    function of the block
     index, so the fan-out is as data-independent as the flat address
     sequence it refines.
 
@@ -222,9 +216,9 @@ val sharded : seed:int -> pool:Workers.t -> t array -> t
     inner run per shard (the logical addresses a shard serves are
     strictly increasing in its inner address); runs of at least [2K]
     blocks run one job per shard on [pool] (which needs at least
-    [K - 1] workers, else [Invalid_argument]), while smaller runs and
-    single-block ops execute inline through the same decomposition, so
-    execution mode never shows in the logical trace. The pool is
+    [K - 1] workers, else [Invalid_argument]), while smaller runs
+    execute inline through the same decomposition, so execution mode
+    never shows in the logical trace. The pool is
     borrowed: {!close} closes the inner stores, not the pool.
 
     On a mid-run {!Transient} the smallest faulted {e logical} address
@@ -239,16 +233,42 @@ val sharded : seed:int -> pool:Workers.t -> t array -> t
     metadata blob on shard 0 (so client metadata is limited to
     [meta_capacity - 8] bytes) and recovered on reopen. *)
 
-val shard_route : shards:int -> seed:int -> int -> int * int
-(** [shard_route ~shards ~seed a] is the pure striping map of
-    {!sharded}: the (shard, inner address) pair logical block [a] maps
-    to. Exposed for property tests (the map must be a bijection). *)
-
 val shard_perm : shards:int -> seed:int -> int array * int array
-(** The keyed lane permutation behind {!shard_route}: [(perm, perm_inv)]
+(** The keyed lane permutation behind {!Stripe}: [(perm, perm_inv)]
     with [perm] mapping lane to shard and [perm_inv] its inverse.
-    Exposed so {!Storage} can mirror the stripe's routing without
-    re-deriving the PRP per address. *)
+    Raises [Invalid_argument] when [shards < 1]. *)
+
+(** The striping map of {!sharded}, precomputed once per stripe: the
+    stripe backend routes its runs through it and {!Storage} records
+    its per-server traces through it, so the arithmetic exists in one
+    place. {!shard}, {!inner} and {!logical} allocate nothing: they run
+    on every counted op of a striped store. *)
+module Stripe : sig
+  type t
+
+  val create : shards:int -> seed:int -> t
+  (** The map of a [shards]-way stripe keyed by [seed] (the PRP of
+      {!shard_perm}, derived once). Raises [Invalid_argument] when
+      [shards < 1]. *)
+
+  val shards : t -> int
+
+  val shard : t -> int -> int
+  (** [shard t a] is the shard serving logical block [a >= 0]:
+      [perm.((a mod K + a / K) mod K)]. *)
+
+  val inner : t -> int -> int
+  (** [inner t a] is block [a]'s address on its shard, [a / K]. *)
+
+  val route : t -> int -> int * int
+  (** [(shard t a, inner t a)]. *)
+
+  val logical : t -> shard:int -> inner:int -> int
+  (** The inverse of {!route}: the logical block that [shard] holds at
+      inner address [inner] ([0 <= shard < K], [inner >= 0]), so
+      [logical t ~shard:(shard t a) ~inner:(inner t a) = a]. Strictly
+      increasing in [inner] for a fixed shard. *)
+end
 
 val shard_count : t -> int option
 (** [Some k] when this backend stack contains a {!sharded} stripe of [k]
@@ -272,9 +292,8 @@ val crash_after : ops:int -> t -> t
     every backend op of a run. *)
 
 val instrument : Odex_telemetry.Telemetry.t -> t -> t
-(** [instrument sink inner] times every [read]/[write]/[read_run]/
-    [write_run]/[sync] with the monotonic clock and reports each to
-    [sink] (as {!Odex_telemetry.Telemetry.record_op}) under [inner]'s
+(** [instrument sink inner] times every [read_run]/[write_run]/[sync]
+    with the monotonic clock and reports each to [sink] (as {!Odex_telemetry.Telemetry.record_op}) under [inner]'s
     kind, forwarding everything else untouched. The shim observes only
     operation kinds, block/byte counts and durations — never payload
     contents — and {!Storage} installs it only when the sink is enabled,

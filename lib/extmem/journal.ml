@@ -528,12 +528,6 @@ module Journaled = struct
      overlay — the inner store has not seen them yet. Which blocks those
      are is a function of the address schedule alone, so the inner
      access pattern stays data-independent. *)
-  let read t addr ~buf ~off =
-    check_open t;
-    match Hashtbl.find_opt t.overlay addr with
-    | Some (src, soff) -> Bigbuf.blit src soff buf off t.payload_size
-    | None -> Backend.read_into t.inner addr ~buf ~off
-
   let read_run t ~addr ~count ~payload ~buf ~off =
     check_open t;
     if Hashtbl.length t.overlay = 0 then
@@ -558,11 +552,6 @@ module Journaled = struct
       done;
       flush_inner !lo (addr + count)
     end
-
-  let write t addr ~buf ~off =
-    check_write t ~addr ~count:1 ~payload:t.payload_size ~buf ~off;
-    append t ~addr ~count:1 ~buf ~off;
-    maybe_auto_commit t
 
   (* Append-only: one record per backend run, applied in place at the
      next commit. A [write_many] group therefore commits — or rolls back

@@ -38,9 +38,8 @@ val bytes_moved : t -> int
 val batched_ios : t -> int
 (** Counted I/Os that travelled through a multi-block
     {!Storage.read_many}/{!Storage.write_many} backend run rather than a
-    per-block call — 0 when batching is disabled. Always [<= total];
-    the batching win is visible as this ratio approaching 1 on
-    scan-heavy algorithms. *)
+    run of one. Always [<= total]; the share of multi-block runs is
+    visible as this ratio approaching 1 on scan-heavy algorithms. *)
 
 val reset : t -> unit
 

@@ -26,21 +26,16 @@ type cipher_state = { st : Cipher.state; mutable next_nonce : int }
 
    Under a [Sharded] spec each shard is a separate adversary: a
    non-colluding server sees only the inner-address op sequence routed to
-   its own device, never the logical interleaving. The stripe's routing
-   is mirrored here — same PRP, same seed — and every counted op (and
-   counted retry) is recorded a second time into the trace of the shard
-   that served it, at its inner address. Recording happens on the
+   its own device, never the logical interleaving. The stripe's map
+   ({!Backend.Stripe}, same seed as the stripe backend) routes every
+   counted op (and counted retry) a second time into the trace of the
+   shard that served it, at its inner address. Recording happens on the
    coordinator thread only (the stripe's worker domains move payloads,
    never accounting), uncounted ops are excluded exactly as they are from
    the logical trace, and the logical trace itself is untouched — every
    pinned digest survives. *)
 
-type shard_state = {
-  sk : int;
-  sperm : int array;  (** shard index of lane [l] — [Backend.shard_perm]. *)
-  sperm_inv : int array;
-  straces : Trace.t array;
-}
+type shard_state = { stripe : Backend.Stripe.t; straces : Trace.t array }
 
 type t = {
   block_size : int;
@@ -60,7 +55,6 @@ type t = {
   max_retries : int;
   backoff_base : float;
   backoff_cap : float;
-  batching : bool;
   journal : Journal.t option;
       (** The write-ahead journal handle, when the spec has a [Journaled]
           layer — owns the crash-atomicity and checkpoint machinery. *)
@@ -220,8 +214,8 @@ let parse_header ~block_size m =
   end
 
 let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = Trace.Digest)
-    ?(backend = Mem) ?(max_retries = 10) ?(backoff = (1e-6, 1e-4)) ?(batching = true)
-    ?(seal_domains = 1) ?(resume = false) ?journal_auto_commit_bytes ~block_size () =
+    ?(backend = Mem) ?(max_retries = 10) ?(backoff = (1e-6, 1e-4)) ?(seal_domains = 1)
+    ?(resume = false) ?journal_auto_commit_bytes ~block_size () =
   if block_size < 1 then invalid_arg "Storage.create: block_size must be >= 1";
   if max_retries < 1 then invalid_arg "Storage.create: max_retries must be >= 1";
   if seal_domains < 1 then invalid_arg "Storage.create: seal_domains must be >= 1";
@@ -290,15 +284,16 @@ let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = T
       max_retries;
       backoff_base;
       backoff_cap;
-      batching;
       journal;
       shard =
         (* Shard traces carry no telemetry sink of their own: phases are
            already timed once, through the logical trace's spans. *)
         Option.map
           (fun (k, seed) ->
-            let sperm, sperm_inv = Backend.shard_perm ~shards:k ~seed in
-            { sk = k; sperm; sperm_inv; straces = Array.init k (fun _ -> Trace.create trace_mode) })
+            {
+              stripe = Backend.Stripe.create ~shards:k ~seed;
+              straces = Array.init k (fun _ -> Trace.create trace_mode);
+            })
           stripe;
       seal_domains;
       pool;
@@ -315,7 +310,6 @@ let stats t = t.stats
 let trace t = t.trace
 let telemetry t = t.tel
 let backend_kind t = t.kind
-let batching t = t.batching
 let cipher_engine t = t.engine
 let sealed t = Option.is_some t.cipher
 let seal_domains t = t.seal_domains
@@ -325,22 +319,16 @@ let shard_ios t = Backend.shard_io_counts t.backend
 let shard_count t = Backend.shard_count t.backend
 let shard_traces t = match t.shard with None -> [||] | Some sh -> sh.straces
 
-(* Mirror of [Backend.Sharded]'s routing: logical block [a] lives on
-   shard [perm.((a mod k + a / k) mod k)] at inner address [a / k]. *)
-let route sh a = (sh.sperm.(((a mod sh.sk) + (a / sh.sk)) mod sh.sk), a / sh.sk)
-
-let shard_of t a = Option.map (fun sh -> fst (route sh a)) t.shard
+let shard_of t a = Option.map (fun sh -> Backend.Stripe.shard sh.stripe a) t.shard
 
 let shard_addr t ~shard ~index =
   match t.shard with
   | None -> invalid_arg "Storage.shard_addr: backend is not sharded"
   | Some sh ->
-      if shard < 0 || shard >= sh.sk then invalid_arg "Storage.shard_addr: shard out of range";
+      if shard < 0 || shard >= Backend.Stripe.shards sh.stripe then
+        invalid_arg "Storage.shard_addr: shard out of range";
       if index < 0 then invalid_arg "Storage.shard_addr: negative index";
-      (* The lane whose inner run [index] falls on shard [shard]:
-         perm ((lane + index) mod k) = shard. *)
-      let lane = (((sh.sperm_inv.(shard) - index) mod sh.sk) + sh.sk) mod sh.sk in
-      (index * sh.sk) + lane
+      Backend.Stripe.logical sh.stripe ~shard ~inner:index
 
 (* Record a counted op into the serving shard's trace, at the inner
    address that shard's device actually sees. *)
@@ -348,8 +336,9 @@ let shard_record t a op_of =
   match t.shard with
   | None -> ()
   | Some sh ->
-      let s, inner = route sh a in
-      Trace.record sh.straces.(s) (op_of inner)
+      Trace.record
+        sh.straces.(Backend.Stripe.shard sh.stripe a)
+        (op_of (Backend.Stripe.inner sh.stripe a))
 
 (* Bracket a public phase across the logical trace {e and} every
    per-shard trace, so shard-level divergence reports name the same
@@ -565,23 +554,18 @@ let seal_run t blks n =
    the payload headers and the run opens through the same
    [Cipher.xor_run] fast path, chunk-parallel like [seal_run]; a mix of
    plaintext and sealed blocks (or a cipherless store) falls back to the
-   per-block open. *)
-let unseal_run t buf n out =
-  let all_sealed =
-    match t.cipher with
-    | None -> false
-    | Some _ ->
-        let ok = ref true in
-        (let i = ref 0 in
-         while !ok && !i < n do
-           if Bigbuf.get64_le buf (!i * t.payload_size) = plain_nonce then ok := false;
-           incr i
-         done);
-        !ok
+   per-block open. Either way the run is timed as cipher work on a
+   sealed store, as [n] single-block reads would be. *)
+let all_sealed t buf n =
+  let rec from i =
+    i >= n || (Bigbuf.get64_le buf (i * t.payload_size) <> plain_nonce && from (i + 1))
   in
-  if all_sealed then
-    let cs = Option.get t.cipher in
-    with_seal_tel t ~op:Telemetry.Unseal ~blocks:n (fun () ->
+  t.cipher <> None && from 0
+
+let unseal_run t buf n out =
+  with_seal_tel t ~op:Telemetry.Unseal ~blocks:n (fun () ->
+      if all_sealed t buf n then
+        let cs = Option.get t.cipher in
         parallel_chunks t n (fun lo hi ->
             if lo < hi then begin
               let nonces =
@@ -594,14 +578,13 @@ let unseal_run t buf n out =
                 ~len:(t.payload_size - 8);
               for i = lo to hi - 1 do
                 out.(i) <-
-                  Block.decode_from_big ~block_size:t.block_size buf
-                    ((i * t.payload_size) + 8)
+                  Block.decode_from_big ~block_size:t.block_size buf ((i * t.payload_size) + 8)
               done
-            end))
-  else
-    for i = 0 to n - 1 do
-      out.(i) <- unseal_from t buf (i * t.payload_size)
-    done
+            end)
+      else
+        for i = 0 to n - 1 do
+          out.(i) <- unseal_from t buf (i * t.payload_size)
+        done)
 
 (* ---- the run engine: every transfer, single-block or batched, goes
    through [run_transfer], which drives the backend's run API and
@@ -615,13 +598,13 @@ let unseal_run t buf n out =
    operations retry silently: they model the experimenter's view, not
    Alice's protocol.
 
-   [record] fires once per block in address order, exactly where the
-   per-block API would have recorded it: blocks transferred before a
-   mid-run fault are recorded before the fault's retry op. A batched run
-   therefore emits a trace bit-identical to the per-block run it
-   replaces, which is what keeps obliviousness checkable by the
-   pair-tester with batching on. Per-block attempt counting matches the
-   per-block API too: a fresh faulting block restarts at attempt 1. ---- *)
+   [record] fires once per block in address order, exactly where a loop
+   of single-block transfers would have recorded it: blocks transferred
+   before a mid-run fault are recorded before the fault's retry op. A
+   run of [n] blocks therefore emits a trace bit-identical to [n] runs
+   of one, which is what keeps obliviousness checkable by the
+   pair-tester however the blocks travel. Attempts are counted per
+   block too: a fresh faulting block restarts at attempt 1. ---- *)
 
 let backoff t attempt =
   let delay = Float.min t.backoff_cap (t.backoff_base *. Float.pow 2. (Float.of_int (attempt - 1))) in
@@ -744,29 +727,25 @@ let write t addr blk =
 
 (* ---- batched logical I/O. One [Trace.Read]/[Write] op and one Stats
    tick per logical block in address order — the same view Bob gets from
-   a per-block loop — while the backend sees one contiguous run. With
-   [~batching:false] the calls degrade to the per-block loop itself, so
-   the two modes are trace-equal by construction (asserted by the
-   batch-parity test suite). ---- *)
+   a loop of {!read}/{!write} — while the backend sees one contiguous
+   run. A run of one is exactly {!read}/{!write}. ---- *)
 
 let read_many t addr n =
   if n < 0 then invalid_arg "Storage.read_many: negative count";
-  let out = Array.make n [||] in
-  if n > 0 then begin
+  if n = 0 then [||]
+  else begin
     check_addr t addr;
     check_addr t (addr + n - 1);
-    if t.batching && n > 1 then begin
+    if n = 1 then [| read t addr |]
+    else begin
       ensure_run_buf t n;
       transfer_read t ~counted:true ~record:(record_read t) ~addr ~n ~buf:t.run_buf;
       Stats.record_batched t.stats n;
-      unseal_run t t.run_buf n out
+      let out = Array.make n [||] in
+      unseal_run t t.run_buf n out;
+      out
     end
-    else
-      for i = 0 to n - 1 do
-        out.(i) <- read t (addr + i)
-      done
-  end;
-  out
+  end
 
 let write_many t addr blks =
   let n = Array.length blks in
@@ -775,18 +754,15 @@ let write_many t addr blks =
     check_addr t (addr + n - 1);
     Array.iter (check_block t ~who:"Storage.write_many") blks;
     atomically t (fun () ->
-        if t.batching && n > 1 then begin
+        if n = 1 then write t addr blks.(0)
+        else begin
           ensure_run_buf t n;
           (* The run sealer draws nonces in index order — the same
-             sequence as the per-block loop. *)
+             sequence as a loop of [write]s. *)
           seal_run t blks n;
           transfer_write t ~counted:true ~record:(record_write t) ~addr ~n ~buf:t.run_buf;
           Stats.record_batched t.stats n
-        end
-        else
-          for i = 0 to n - 1 do
-            write t (addr + i) blks.(i)
-          done)
+        end)
   end
 
 let unchecked_peek t addr =

@@ -81,7 +81,6 @@ val create :
   ?backend:backend_spec ->
   ?max_retries:int ->
   ?backoff:float * float ->
-  ?batching:bool ->
   ?seal_domains:int ->
   ?resume:bool ->
   ?journal_auto_commit_bytes:int ->
@@ -160,15 +159,7 @@ val create :
     an automatic commit (outside {!atomically} groups). Smaller values
     bound crash-recovery scan/replay work tighter at the cost of more
     frequent commits — see EXPERIMENTS.md E17 for the measured
-    trade-off. Ignored without a [Journaled] layer.
-
-    [batching] (default [true]) controls whether {!read_many} and
-    {!write_many} are served by a single contiguous backend run or
-    degrade to per-block loops. It changes only how bytes travel, never
-    what Bob sees: traces, stats totals and retry sequences are
-    identical either way (the batch-parity tests assert this on every
-    backend). Disable it to measure the batching win or to bisect a
-    suspected batching bug. *)
+    trade-off. Ignored without a [Journaled] layer. *)
 
 val block_size : t -> int
 val capacity : t -> int
@@ -178,9 +169,6 @@ val backend_kind : t -> string
 (** The kind of the outermost layer of the backend spec — "mem",
     "file", "faulty", "sharded", "journaled" or "crashing" — for
     reports. *)
-
-val batching : t -> bool
-(** Whether {!read_many}/{!write_many} use multi-block backend runs. *)
 
 val cipher_engine : t -> Odex_crypto.Cipher.engine
 (** The keystream engine this store seals under (meaningful only when a
@@ -354,18 +342,18 @@ val read_many : t -> int -> int -> Block.t array
     Logically identical to [n] calls to {!read}: it records one
     [Trace.Read] op and one Stats tick per block, in address order, and
     a faulty backend gates each block on the same access index — so the
-    adversary's view is bit-identical whether or not batching is on.
-    Physically (with batching on and [n > 1]) the payloads travel as a
-    single backend run — one [pread] on a file store — and the [n]
-    blocks are tallied in {!Stats.batched_ios}. [n = 0] returns [[||]]
-    without touching anything. *)
+    adversary's view is bit-identical to the per-block loop's.
+    Physically (for [n > 1]) the payloads travel as a single backend
+    run — one [pread] on a file store — and the [n] blocks are tallied
+    in {!Stats.batched_ios}; [n = 1] is exactly {!read}. [n = 0]
+    returns [[||]] without touching anything. *)
 
 val write_many : t -> int -> Block.t array -> unit
 (** [write_many t addr blks] writes [blks] to the contiguous run
     starting at [addr]. The mirror image of {!read_many}: per-block
     trace ops, stats and fresh nonces exactly as [Array.length blks]
     calls to {!write} (nonces drawn in index order), one backend run
-    when batching. *)
+    for [n > 1]. *)
 
 val stats : t -> Stats.t
 val trace : t -> Trace.t

@@ -68,11 +68,9 @@ let hist_percentile h p =
 
 (* ---- sink ---- *)
 
-type op_kind = Read | Write | Read_run | Write_run | Sync | Seal | Unseal
+type op_kind = Read_run | Write_run | Sync | Seal | Unseal
 
 let op_kind_name = function
-  | Read -> "read"
-  | Write -> "write"
   | Read_run -> "read_run"
   | Write_run -> "write_run"
   | Sync -> "sync"

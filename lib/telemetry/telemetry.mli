@@ -45,11 +45,11 @@ val enabled : t -> bool
 val now_ns : unit -> int64
 (** Monotonic clock, nanoseconds (arbitrary epoch). *)
 
-(** Backend operation kinds, as timed by the instrumented backend, plus
-    the cipher ops ([Seal]/[Unseal]) Storage reports under the pseudo
+(** Backend operation kinds, as timed by the instrumented backend (a
+    single block travels as a run of one), plus the cipher ops ([Seal]/[Unseal]) Storage reports under the pseudo
     backend "cipher" so profiles attribute keystream time separately
     from device time. *)
-type op_kind = Read | Write | Read_run | Write_run | Sync | Seal | Unseal
+type op_kind = Read_run | Write_run | Sync | Seal | Unseal
 
 val op_kind_name : op_kind -> string
 

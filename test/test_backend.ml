@@ -25,8 +25,9 @@ let test_backend_kinds () =
 let test_backend_bounds () =
   let b = Backend.mem ~payload_size:16 () in
   Backend.ensure b 4;
-  Alcotest.check_raises "mem read past end" (Invalid_argument "Backend.Mem: address 4 out of bounds (4)")
-    (fun () -> ignore (Backend.read b 4));
+  Alcotest.check_raises "mem read past end"
+    (Invalid_argument "Backend.Mem.read_run: run [4, 5) out of bounds (4 blocks)") (fun () ->
+      ignore (Backend.read b 4));
   with_temp_store (fun path ->
       let f = Backend.file ~path ~payload_size:8 in
       Backend.ensure f 2;

@@ -898,10 +898,11 @@ let sharded_cleanup sp jp =
    replay order. *)
 let per_server_replays replays =
   let per = Array.make sh_shards [] in
+  let stripe = Backend.Stripe.create ~shards:sh_shards ~seed:sh_seed in
   List.iter
     (fun (addr, count) ->
       for a = addr to addr + count - 1 do
-        let s, inner = Backend.shard_route ~shards:sh_shards ~seed:sh_seed a in
+        let s, inner = Backend.Stripe.route stripe a in
         per.(s) <- inner :: per.(s)
       done)
     replays;

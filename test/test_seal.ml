@@ -281,7 +281,8 @@ let parallel_seal_parity_cases =
 
 (* The mem backend serves single blocks by blit into the caller's
    off-heap buffer: the read loop must not allocate per block (the old
-   path allocated a fresh Bytes per read). Minor-heap words are counted
+   path allocated a fresh Bytes per read). It is driven through a run of
+   one — the path [Storage.read] takes. Minor-heap words are counted
    across a big loop; the budget allows fixed setup noise but not
    per-iteration garbage. *)
 let test_mem_read_does_not_allocate () =
@@ -291,21 +292,21 @@ let test_mem_read_does_not_allocate () =
   let buf = Bigbuf.create payload in
   for i = 0 to 7 do
     Bigbuf.set64_le buf 0 (Int64.of_int i);
-    Backend.write_from bk i ~buf ~off:0
+    Backend.write_run bk ~addr:i ~count:1 ~payload ~buf ~off:0
   done;
   let iters = 10_000 in
   (* Warm up any lazy structure before measuring. *)
-  Backend.read_into bk 0 ~buf ~off:0;
+  Backend.read_run bk ~addr:0 ~count:1 ~payload ~buf ~off:0;
   let w0 = Gc.minor_words () in
   for i = 0 to iters - 1 do
-    Backend.read_into bk (i land 7) ~buf ~off:0
+    Backend.read_run bk ~addr:(i land 7) ~count:1 ~payload ~buf ~off:0
   done;
   let per_iter = (Gc.minor_words () -. w0) /. float_of_int iters in
   Alcotest.(check bool)
     (Printf.sprintf "%.3f minor words per read (want ~0)" per_iter)
     true (per_iter < 1.0);
   (* And the data actually moved. *)
-  Backend.read_into bk 5 ~buf ~off:0;
+  Backend.read_run bk ~addr:5 ~count:1 ~payload ~buf ~off:0;
   Alcotest.(check int64) "blit read serves the payload" 5L (Bigbuf.get64_le buf 0)
 
 let suite =

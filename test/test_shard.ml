@@ -10,19 +10,24 @@ open Odex_obcheck
 
 (* The fan-out must be a bijection on block indices: distinct logical
    addresses map to distinct (shard, inner address) slots, the inner
-   address is always a/K, and within each K-aligned group the shard
-   assignment is a permutation of the K devices. *)
+   address is always a/K, [logical] inverts [route], and within each
+   K-aligned group the shard assignment is a permutation of the K
+   devices. *)
 let qcheck_route_bijection =
-  Util.qcheck_case ~count:200 ~name:"shard_route is a striping bijection"
+  Util.qcheck_case ~count:200 ~name:"stripe map is a striping bijection"
     QCheck2.Gen.(triple (int_range 1 8) (int_range 0 0xFFFF) (int_range 1 512))
     (fun (shards, seed, n) ->
+      let stripe = Backend.Stripe.create ~shards ~seed in
       let seen = Hashtbl.create n in
       for a = 0 to n - 1 do
-        let s, inner = Backend.shard_route ~shards ~seed a in
+        let s, inner = Backend.Stripe.route stripe a in
         if s < 0 || s >= shards then
           QCheck2.Test.fail_reportf "addr %d: shard %d out of range [0,%d)" a s shards;
         if inner <> a / shards then
           QCheck2.Test.fail_reportf "addr %d: inner %d, want %d" a inner (a / shards);
+        let back = Backend.Stripe.logical stripe ~shard:s ~inner in
+        if back <> a then
+          QCheck2.Test.fail_reportf "addr %d: logical (route a) = %d" a back;
         if Hashtbl.mem seen (s, inner) then
           QCheck2.Test.fail_reportf "addr %d: slot (%d,%d) already taken" a s inner;
         Hashtbl.add seen (s, inner) a
@@ -190,6 +195,7 @@ let sharded_pair_cases =
 
 let stripe_k = 4
 let stripe_seed = 0x5A4D
+let stripe_map = Backend.Stripe.create ~shards:stripe_k ~seed:stripe_seed
 let stripe_payload = 16
 let fault_plan i = { Backend.seed = 0x77 + i; failure_rate = 0.2; max_burst = 2 }
 
@@ -214,7 +220,7 @@ let twin_fault twins ~lo ~hi =
     let inner =
       List.filter_map
         (fun a ->
-          let s', g = Backend.shard_route ~shards:k ~seed:stripe_seed a in
+          let s', g = Backend.Stripe.route stripe_map a in
           if s' = s then Some (g, a) else None)
         (List.init (hi - lo) (fun i -> lo + i))
     in
@@ -248,9 +254,9 @@ let test_stripe_fault_contract () =
   Backend.ensure stripe n;
   Array.iter (fun tw -> Backend.ensure tw (n / k)) twins;
   let landed a =
-    let s, g = Backend.shard_route ~shards:k ~seed:stripe_seed a in
+    let s, g = Backend.Stripe.route stripe_map a in
     let b = Odex_crypto.Bigbuf.create stripe_payload in
-    Backend.read_into devices.(s) g ~buf:b ~off:0;
+    Backend.read_run devices.(s) ~addr:g ~count:1 ~payload:stripe_payload ~buf:b ~off:0;
     block_is b ~off:0 a
   in
   (* Resume from each fault, as Storage's retry engine does, until the

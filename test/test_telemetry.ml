@@ -16,7 +16,7 @@ let contains s sub =
 let test_disabled_sink_is_noop () =
   let t = Telemetry.disabled in
   Alcotest.(check bool) "disabled" false (Telemetry.enabled t);
-  Telemetry.record_op t ~backend:"mem" ~op:Telemetry.Read ~blocks:1 ~bytes:64 ~ns:100L;
+  Telemetry.record_op t ~backend:"mem" ~op:Telemetry.Read_run ~blocks:1 ~bytes:64 ~ns:100L;
   Telemetry.add_ios t 3;
   Telemetry.add_retries t 1;
   Telemetry.add_faults t 1;
@@ -41,7 +41,7 @@ let test_histogram_percentiles () =
   (* 100 samples spread over four decades of latency. *)
   for i = 1 to 100 do
     let ns = Int64.of_int (if i <= 50 then 100 else if i <= 90 then 10_000 else 1_000_000) in
-    Telemetry.record_op t ~backend:"mem" ~op:Telemetry.Read ~blocks:1 ~bytes:8 ~ns
+    Telemetry.record_op t ~backend:"mem" ~op:Telemetry.Read_run ~blocks:1 ~bytes:8 ~ns
   done;
   (match Telemetry.op_stats t with
   | [ st ] ->
@@ -64,7 +64,7 @@ let test_histogram_percentiles () =
   (* A single sample: every percentile is that sample, never its bucket's
      midpoint (2138 us sits in the 2^21 ns bucket, midpoint ~2966 us). *)
   let t = Telemetry.create () in
-  Telemetry.record_op t ~backend:"mem" ~op:Telemetry.Write ~blocks:1 ~bytes:8 ~ns:2_138_000L;
+  Telemetry.record_op t ~backend:"mem" ~op:Telemetry.Write_run ~blocks:1 ~bytes:8 ~ns:2_138_000L;
   match Telemetry.op_stats t with
   | [ st ] ->
       List.iter
@@ -115,6 +115,37 @@ let test_storage_ops_timed () =
         st.Telemetry.count
         (Telemetry.hist_count st.Telemetry.latency))
     stats
+
+(* A run mixing written (sealed) blocks and freshly allocated ones (the
+   plaintext marker) still opens as cipher work: [read_many] over 4 of
+   each reports as many cipher Unseal blocks as 8 single [read]s on a
+   twin store. *)
+let test_mixed_run_unseal_timed () =
+  let unseal_blocks read =
+    let tel = Telemetry.create () in
+    let s =
+      Storage.create ~telemetry:tel ~cipher:(Odex_crypto.Cipher.key_of_int 9) ~block_size:2 ()
+    in
+    let base = Storage.alloc s 8 in
+    let blk = Block.make 2 in
+    blk.(0) <- Cell.item ~key:1 ~value:1 ();
+    Storage.write_many s base (Array.init 4 (fun _ -> Block.copy blk));
+    read s base;
+    List.fold_left
+      (fun acc (st : Telemetry.op_stat) ->
+        if st.op = Telemetry.Unseal && st.op_backend = "cipher" then acc + st.Telemetry.op_blocks
+        else acc)
+      0 (Telemetry.op_stats tel)
+  in
+  let batched = unseal_blocks (fun s base -> ignore (Storage.read_many s base 8)) in
+  let single =
+    unseal_blocks (fun s base ->
+        for i = 0 to 7 do
+          ignore (Storage.read s (base + i))
+        done)
+  in
+  Alcotest.(check int) "8 single reads unseal 8 blocks" 8 single;
+  Alcotest.(check int) "mixed read_many unseals as many" single batched
 
 let test_phase_attribution () =
   let tel = Telemetry.create () in
@@ -254,6 +285,7 @@ let suite =
     ("storage default sink is disabled", `Quick, test_storage_default_sink_is_disabled);
     ("histogram percentiles", `Quick, test_histogram_percentiles);
     ("backend ops are timed", `Quick, test_storage_ops_timed);
+    ("mixed sealed/fresh runs timed as cipher work", `Quick, test_mixed_run_unseal_timed);
     ("phase counter attribution", `Quick, test_phase_attribution);
     ("retries and faults attributed", `Quick, test_retry_and_fault_attribution);
     ("cache hit/miss/flush counters", `Quick, test_cache_counters);
