@@ -24,18 +24,6 @@ module type S = sig
 
   val sync : t -> unit
   val close : t -> unit
-
-  val faults : t -> int
-  (** Transient failures injected so far (0 for real devices). *)
-
-  val shard_ops : t -> int array
-  (** Per-shard block-op counts ([[||]] for unsharded devices). *)
-
-  val shard_count : t -> int option
-  (** [Some k] when a striping layer fans this store across [k] separate
-      devices (decorators forward); [None] for a single-server store.
-      [Some 1] and [None] are deliberately distinct: the former is a
-      degenerate stripe, the latter no stripe at all. *)
 end
 
 exception Crashed
@@ -80,8 +68,6 @@ let read_meta (Packed ((module B), b)) = B.read_meta b
 let write_meta (Packed ((module B), b)) m = B.write_meta b m
 let sync (Packed ((module B), b)) = B.sync b
 let close (Packed ((module B), b)) = B.close b
-let shard_io_counts (Packed ((module B), b)) = B.shard_ops b
-let shard_count (Packed ((module B), b)) = B.shard_count b
 
 let meta_capacity = 40
 
@@ -92,9 +78,10 @@ let check_meta ~who m =
 (* Shared run-argument validation: the whole window must be legal before
    any byte moves, so an out-of-bounds run raises without a partial
    transfer on every backend. *)
-let check_run ~who ~blocks ~addr ~count ~payload ~buf ~off =
+let check_run ~who ~blocks ~payload_bytes ~addr ~count ~payload ~buf ~off =
   if count < 0 then invalid_arg (who ^ ": negative run length");
-  if payload < 1 then invalid_arg (who ^ ": payload must be >= 1");
+  if payload <> payload_bytes then
+    invalid_arg (who ^ ": run payload size differs from the store's");
   if addr < 0 || addr + count > blocks then
     invalid_arg
       (Printf.sprintf "%s: run [%d, %d) out of bounds (%d blocks)" who addr (addr + count)
@@ -139,25 +126,18 @@ module Mem = struct
 
   let size t = t.len
 
-  let check_payload t payload who =
-    if payload <> t.payload then
-      invalid_arg (who ^ ": run payload size differs from the store's")
-
   let read_run t ~addr ~count ~payload ~buf ~off =
-    check_payload t payload "Backend.Mem.read_run";
-    check_run ~who:"Backend.Mem.read_run" ~blocks:t.len ~addr ~count ~payload ~buf ~off;
+    check_run ~who:"Backend.Mem.read_run" ~blocks:t.len ~payload_bytes:t.payload ~addr ~count
+      ~payload ~buf ~off;
     if count > 0 then Bigbuf.blit t.arena (addr * payload) buf off (count * payload)
 
   let write_run t ~addr ~count ~payload ~buf ~off =
-    check_payload t payload "Backend.Mem.write_run";
-    check_run ~who:"Backend.Mem.write_run" ~blocks:t.len ~addr ~count ~payload ~buf ~off;
+    check_run ~who:"Backend.Mem.write_run" ~blocks:t.len ~payload_bytes:t.payload ~addr ~count
+      ~payload ~buf ~off;
     if count > 0 then Bigbuf.blit buf off t.arena (addr * payload) (count * payload)
 
   let sync _ = ()
   let close _ = ()
-  let faults _ = 0
-  let shard_ops _ = [||]
-  let shard_count _ = None
 end
 
 let mem ~payload_size () =
@@ -276,13 +256,15 @@ module File = struct
         raise e);
     t
 
+  let check_open t = if t.closed then invalid_arg "Backend.File: store is closed"
+
   let read_meta t =
-    if t.closed then invalid_arg "Backend.File: store is closed";
+    check_open t;
     read_header t
 
   let write_meta t m =
     check_meta ~who:"Backend.File.write_meta" m;
-    if t.closed then invalid_arg "Backend.File: store is closed";
+    check_open t;
     write_header_fields t ~meta:(Some m)
 
   let ensure t n =
@@ -295,21 +277,18 @@ module File = struct
 
   let pos_of t addr = file_header_bytes + (addr * t.payload_size)
 
-  let check_run_payload t payload =
-    if t.closed then invalid_arg "Backend.File: store is closed";
-    if payload <> t.payload_size then
-      invalid_arg "Backend.File: run payload size differs from the store's"
-
   let read_run t ~addr ~count ~payload ~buf ~off =
-    check_run_payload t payload;
-    check_run ~who:"Backend.File.read_run" ~blocks:t.blocks ~addr ~count ~payload ~buf ~off;
+    check_open t;
+    check_run ~who:"Backend.File.read_run" ~blocks:t.blocks ~payload_bytes:t.payload_size ~addr
+      ~count ~payload ~buf ~off;
     if count > 0 then
       Bigio.read_all ~who:"Backend.File" t.fd ~pos:(pos_of t addr) buf ~off
         ~len:(count * payload)
 
   let write_run t ~addr ~count ~payload ~buf ~off =
-    check_run_payload t payload;
-    check_run ~who:"Backend.File.write_run" ~blocks:t.blocks ~addr ~count ~payload ~buf ~off;
+    check_open t;
+    check_run ~who:"Backend.File.write_run" ~blocks:t.blocks ~payload_bytes:t.payload_size ~addr
+      ~count ~payload ~buf ~off;
     if count > 0 then
       Bigio.write_all t.fd ~pos:(pos_of t addr) buf ~off ~len:(count * payload)
 
@@ -320,10 +299,6 @@ module File = struct
       t.closed <- true;
       Unix.close t.fd
     end
-
-  let faults _ = 0
-  let shard_ops _ = [||]
-  let shard_count _ = None
 end
 
 let file ~path ~payload_size = Packed ((module File), File.create ~path ~payload_size)
@@ -341,8 +316,8 @@ module Faulty = struct
     mutable recovering : bool;
         (** The access right after a burst always succeeds: transient
             bursts end with a recovery, so a logical I/O needs at most
-            [max_burst] retries and a [max_burst < max_retries] budget
-            can never be spuriously exhausted. *)
+            [max_burst] retries and a burst shorter than Storage's
+            retry budget can never exhaust it. *)
     mutable injected : int;
   }
 
@@ -408,18 +383,17 @@ module Faulty = struct
      Bounds are validated against the inner store before the first gate,
      so an out-of-bounds run neither transfers nor consumes accesses. *)
 
-  let check_run_bounds who t ~addr ~count ~payload ~buf ~off =
-    check_run ~who ~blocks:(size t) ~addr ~count ~payload ~buf ~off
-
   let read_run t ~addr ~count ~payload ~buf ~off =
-    check_run_bounds "Backend.Faulty.read_run" t ~addr ~count ~payload ~buf ~off;
+    check_run ~who:"Backend.Faulty.read_run" ~blocks:(size t) ~payload_bytes:(payload_bytes t)
+      ~addr ~count ~payload ~buf ~off;
     for i = 0 to count - 1 do
       gate t (addr + i);
       read_run t.inner ~addr:(addr + i) ~count:1 ~payload ~buf ~off:(off + (i * payload))
     done
 
   let write_run t ~addr ~count ~payload ~buf ~off =
-    check_run_bounds "Backend.Faulty.write_run" t ~addr ~count ~payload ~buf ~off;
+    check_run ~who:"Backend.Faulty.write_run" ~blocks:(size t) ~payload_bytes:(payload_bytes t)
+      ~addr ~count ~payload ~buf ~off;
     for i = 0 to count - 1 do
       gate t (addr + i);
       write_run t.inner ~addr:(addr + i) ~count:1 ~payload ~buf ~off:(off + (i * payload))
@@ -427,20 +401,14 @@ module Faulty = struct
 
   let sync t = sync t.inner
   let close t = close t.inner
-  let faults t = t.injected
-  let shard_ops t = shard_io_counts t.inner
-  let shard_count t = shard_count t.inner
 end
 
 let faulty plan inner =
   if plan.failure_rate < 0. || plan.failure_rate > 1. then
     invalid_arg "Backend.faulty: failure_rate must be in [0, 1]";
   if plan.max_burst < 1 then invalid_arg "Backend.faulty: max_burst must be >= 1";
-  Packed
-    ( (module Faulty),
-      { Faulty.inner; plan; access = 0; burst_left = 0; recovering = false; injected = 0 } )
-
-let faults_injected (Packed ((module B), b)) = B.faults b
+  let t = { Faulty.inner; plan; access = 0; burst_left = 0; recovering = false; injected = 0 } in
+  (Packed ((module Faulty), t), fun () -> t.injected)
 
 (* ---------------- the striping map ---------------- *)
 
@@ -569,7 +537,7 @@ module Sharded = struct
   let run_ops ~write t ~addr ~count ~payload ~buf ~off =
     let who = if write then "Backend.Sharded.write_run" else "Backend.Sharded.read_run" in
     check_open t;
-    check_run ~who ~blocks:t.len ~addr ~count ~payload ~buf ~off;
+    check_run ~who ~blocks:t.len ~payload_bytes:(payload_bytes t) ~addr ~count ~payload ~buf ~off;
     if count > 0 then begin
       let lo = addr and hi = addr + count in
       let jobs = ref [] in
@@ -683,14 +651,12 @@ module Sharded = struct
       t.closed <- true;
       Array.iter close t.inners
     end
-
-  let faults t = Array.fold_left (fun acc inner -> acc + faults_injected inner) 0 t.inners
-  let shard_ops t = Array.copy t.ops
-  let shard_count t = Some (k t)
 end
 
-let sharded ~seed ~pool inners =
+let sharded ~stripe ~pool inners =
   let k = Array.length inners in
+  if k <> Stripe.shards stripe then
+    invalid_arg "Backend.sharded: one inner store per shard of the stripe";
   if Workers.size pool < k - 1 then
     invalid_arg "Backend.sharded: the pool needs at least shards - 1 workers";
   if k >= 1 then begin
@@ -703,7 +669,7 @@ let sharded ~seed ~pool inners =
   end;
   let t =
     {
-      Sharded.stripe = Stripe.create ~shards:k ~seed;
+      Sharded.stripe;
       inners;
       len = Sharded.recover_len inners;
       scratch = Array.init k (fun _ -> ref (Bigbuf.create 0));
@@ -712,7 +678,7 @@ let sharded ~seed ~pool inners =
       closed = false;
     }
   in
-  Packed ((module Sharded), t)
+  (Packed ((module Sharded), t), fun () -> Array.copy t.ops)
 
 (* ---------------- telemetry instrumentation ---------------- *)
 
@@ -760,9 +726,6 @@ module Instrumented = struct
 
   let sync t = time t Tel.Sync ~blocks:0 ~bytes:0 (fun () -> sync t.inner)
   let close t = close t.inner
-  let faults t = faults_injected t.inner
-  let shard_ops t = shard_io_counts t.inner
-  let shard_count t = shard_count t.inner
 end
 
 let instrument tel inner =
@@ -781,7 +744,7 @@ let instrument tel inner =
    harness still needs to release descriptors after the "crash". *)
 
 module Crashing = struct
-  type nonrec t = { inner : t; mutable budget : int; mutable survived : int }
+  type nonrec t = { inner : t; mutable budget : int }
 
   let kind = "crashing"
 
@@ -789,8 +752,7 @@ module Crashing = struct
 
   let gate t =
     if t.budget <= 0 then raise Crashed;
-    t.budget <- t.budget - 1;
-    t.survived <- t.survived + 1
+    t.budget <- t.budget - 1
 
   let ensure t n = ensure t.inner n
   let size t = size t.inner
@@ -810,11 +772,8 @@ module Crashing = struct
     sync t.inner
 
   let close t = close t.inner
-  let faults t = faults_injected t.inner
-  let shard_ops t = shard_io_counts t.inner
-  let shard_count t = shard_count t.inner
 end
 
 let crash_after ~ops inner =
   if ops < 0 then invalid_arg "Backend.crash_after: negative op budget";
-  Packed ((module Crashing), { Crashing.inner; budget = ops; survived = 0 })
+  Packed ((module Crashing), { Crashing.inner; budget = ops })

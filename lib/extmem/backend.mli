@@ -28,12 +28,14 @@
     staging copy. Backends never see plaintext (when a cipher key is set
     the payload is ciphertext), never count I/Os and never touch the
     trace — that is Storage's job, which is what keeps the accounting
-    identical across backends. *)
+    identical across backends. {!Storage} also composes the stack and
+    keeps the counters {!faulty} and {!sharded} hand back, so a backend
+    answers only block, metadata and lifecycle calls. *)
 
 exception Transient of { addr : int; access : int }
 (** A retryable fault: access [access] (the backend's global access
     counter) to block [addr] failed. Raised only by the faulty
-    decorator; {!Storage} retries with capped exponential backoff. *)
+    decorator; {!Storage} retries at once, up to a fixed budget. *)
 
 exception Crashed
 (** The simulated process death of the {!crash_after} decorator. Never
@@ -70,8 +72,8 @@ module type S = sig
       transfer on {!file}, one blit on {!mem}, and a per-block
       fault-gated iteration on {!faulty}. A never-written address reads
       as zeros. [payload] must equal [payload_bytes]. The whole window
-      (addresses and buffer region) is validated before any byte moves,
-      so out-of-bounds runs raise
+      (addresses, payload size and buffer region) is validated by
+      {!check_run} before any byte moves, so a bad run raises
       without a partial transfer. On [Transient { addr = a }], blocks
       before [a] have been transferred and blocks from [a] on have not —
       the caller may resume the run at [a]. [count = 0] is a validated
@@ -100,19 +102,16 @@ module type S = sig
   (** Flush to durable media where that means something (file). *)
 
   val close : t -> unit
-
-  val faults : t -> int
-  (** Transient failures injected so far (0 for real devices). *)
-
-  val shard_ops : t -> int array
-  (** Per-shard block-op counts ([[||]] for unsharded devices). *)
-
-  val shard_count : t -> int option
-  (** [Some k] when a striping layer fans this store across [k] separate
-      devices (decorators forward); [None] for a single-server store.
-      [Some 1] and [None] are deliberately distinct: the former is a
-      degenerate stripe, the latter no stripe at all. *)
 end
+
+val check_run :
+  who:string -> blocks:int -> payload_bytes:int -> addr:int -> count:int -> payload:int ->
+  buf:Odex_crypto.Bigbuf.t -> off:int -> unit
+(** The run validation every {!S} implementation applies before it moves
+    a byte: raises [Invalid_argument] (prefixed with [who]) unless
+    [count >= 0], [payload = payload_bytes], the run [addr, addr + count)
+    lies within [0, blocks), and [buf[off .. off + count*payload)] lies
+    within [buf]. *)
 
 type t = Packed : (module S with type t = 'a) * 'a -> t
 (** An instantiated backend. *)
@@ -189,49 +188,13 @@ type fault_plan = {
     Bursts end with a guaranteed recovery: the access immediately after
     a burst's last failure always succeeds, so a logical I/O retried in
     place needs at most [max_burst] retries. Keep [max_burst] below
-    {!Storage.create}'s [max_retries] and the retry budget can never be
-    exhausted; invert that (or lower [max_retries]) to exercise the
-    permanent-failure path. *)
+    {!Storage.max_retries} and the retry budget can never be exhausted;
+    a longer burst exercises the permanent-failure path. *)
 
-val faulty : fault_plan -> t -> t
+val faulty : fault_plan -> t -> t * (unit -> int)
 (** [faulty plan inner] fails accesses according to [plan] (raising
-    {!Transient}) and forwards the rest to [inner]. *)
-
-val faults_injected : t -> int
-(** Total {!Transient} raises so far ([0] for non-faulty backends). *)
-
-val sharded : seed:int -> pool:Workers.t -> t array -> t
-(** [sharded ~seed ~pool inners] stripes one logical address space
-    across the [K = Array.length inners] inner stores (requires
-    [K >= 1], all with the same payload size). Logical block [a] belongs to group
-    [g = a / K] and lives on shard [perm((a mod K + g) mod K)] at inner
-    address [g], where [perm] is a keyed PRP of the lanes derived from
-    [seed] (the map is {!Stripe}) — a bijection, so every group of [K]
-    consecutive logical blocks touches all [K] devices, and a pure
-    function of the block
-    index, so the fan-out is as data-independent as the flat address
-    sequence it refines.
-
-    A contiguous logical run decomposes into exactly one contiguous
-    inner run per shard (the logical addresses a shard serves are
-    strictly increasing in its inner address); runs of at least [2K]
-    blocks run one job per shard on [pool] (which needs at least
-    [K - 1] workers, else [Invalid_argument]), while smaller runs
-    execute inline through the same decomposition, so execution mode
-    never shows in the logical trace. The pool is
-    borrowed: {!close} closes the inner stores, not the pool.
-
-    On a mid-run {!Transient} the smallest faulted {e logical} address
-    is re-raised after every shard has run to completion or its own
-    fault: all blocks below it have been transferred (blocks at or above
-    it may have been too — resuming re-transfers them, which is
-    idempotent). Any other exception from a shard wins over every
-    {!Transient}.
-
-    [ensure n] grows every inner store to [ceil(n / K)] blocks; the
-    exact logical length is persisted as an 8-byte prefix of the
-    metadata blob on shard 0 (so client metadata is limited to
-    [meta_capacity - 8] bytes) and recovered on reopen. *)
+    {!Transient}) and forwards the rest to [inner]. The second component
+    reads how many {!Transient}s this layer has raised so far. *)
 
 val shard_perm : shards:int -> seed:int -> int array * int array
 (** The keyed lane permutation behind {!Stripe}: [(perm, perm_inv)]
@@ -240,9 +203,9 @@ val shard_perm : shards:int -> seed:int -> int array * int array
 
 (** The striping map of {!sharded}, precomputed once per stripe: the
     stripe backend routes its runs through it and {!Storage} records
-    its per-server traces through it, so the arithmetic exists in one
-    place. {!shard}, {!inner} and {!logical} allocate nothing: they run
-    on every counted op of a striped store. *)
+    its per-server traces through the same value, so the arithmetic
+    exists in one place. {!shard}, {!inner} and {!logical} allocate
+    nothing: they run on every counted op of a striped store. *)
 module Stripe : sig
   type t
 
@@ -270,17 +233,40 @@ module Stripe : sig
       increasing in [inner] for a fixed shard. *)
 end
 
-val shard_count : t -> int option
-(** [Some k] when this backend stack contains a {!sharded} stripe of [k]
-    devices (decorators forward to their inner store); [None] when no
-    stripe is present. Distinguishes a degenerate [K = 1] stripe
-    ([Some 1]) from an unsharded store ([None]). *)
+val sharded : stripe:Stripe.t -> pool:Workers.t -> t array -> t * (unit -> int array)
+(** [sharded ~stripe ~pool inners] stripes one logical address space
+    across the [K = Stripe.shards stripe] inner stores (one per shard,
+    all with the same payload size). Logical block [a] belongs to group
+    [g = a / K] and lives on shard [perm((a mod K + g) mod K)] at inner
+    address [g], where [perm] is the keyed PRP of the lanes behind
+    [stripe] — a bijection, so every group of [K] consecutive logical
+    blocks touches all [K] devices, and a pure function of the block
+    index, so the fan-out is as data-independent as the flat address
+    sequence it refines. The second component reads the per-shard
+    counts of block ops served so far (every attempt, counted or not):
+    the obliviousness harness compares them across a pair run, since
+    the fan-out must be a function of the logical trace alone.
 
-val shard_io_counts : t -> int array
-(** Per-shard counts of block ops served ([|[]|] for unsharded
-    backends; decorators forward to their inner store). The obliviousness
-    harness compares these across a pair run: the fan-out must be a
-    function of the logical trace alone. *)
+    A contiguous logical run decomposes into exactly one contiguous
+    inner run per shard (the logical addresses a shard serves are
+    strictly increasing in its inner address); runs of at least [2K]
+    blocks run one job per shard on [pool] (which needs at least
+    [K - 1] workers, else [Invalid_argument]), while smaller runs
+    execute inline through the same decomposition, so execution mode
+    never shows in the logical trace. The pool is
+    borrowed: {!close} closes the inner stores, not the pool.
+
+    On a mid-run {!Transient} the smallest faulted {e logical} address
+    is re-raised after every shard has run to completion or its own
+    fault: all blocks below it have been transferred (blocks at or above
+    it may have been too — resuming re-transfers them, which is
+    idempotent). Any other exception from a shard wins over every
+    {!Transient}.
+
+    [ensure n] grows every inner store to [ceil(n / K)] blocks; the
+    exact logical length is persisted as an 8-byte prefix of the
+    metadata blob on shard 0 (so client metadata is limited to
+    [meta_capacity - 8] bytes) and recovered on reopen. *)
 
 val crash_after : ops:int -> t -> t
 (** [crash_after ~ops inner] lets the first [ops] block operations (and

@@ -494,18 +494,6 @@ let append t ~addr ~count ~buf ~off =
     Hashtbl.replace t.overlay (addr + i) (copy, i * t.payload_size)
   done
 
-let check_write t ~addr ~count ~payload ~buf ~off =
-  check_open t;
-  if payload <> t.payload_size then
-    invalid_arg "Backend.Journaled: run payload size differs from the store's";
-  if count < 0 then invalid_arg "Backend.Journaled: negative run length";
-  if addr < 0 || addr + count > Backend.size t.inner then
-    invalid_arg
-      (Printf.sprintf "Backend.Journaled: run [%d, %d) out of bounds (%d blocks)" addr
-         (addr + count) (Backend.size t.inner));
-  if off < 0 || off + (count * payload) > Bigbuf.length buf then
-    invalid_arg "Backend.Journaled: buffer region out of bounds"
-
 let maybe_auto_commit t =
   if t.hold_depth = 0 && t.tail - header_bytes > t.auto_commit_bytes then commit t
 
@@ -527,9 +515,13 @@ module Journaled = struct
   (* Blocks with a pending (uncommitted) write are served from the
      overlay — the inner store has not seen them yet. Which blocks those
      are is a function of the address schedule alone, so the inner
-     access pattern stays data-independent. *)
+     access pattern stays data-independent. The whole window is
+     validated first, so no pending block reaches the caller's buffer
+     ahead of a rejection. *)
   let read_run t ~addr ~count ~payload ~buf ~off =
     check_open t;
+    Backend.check_run ~who:"Backend.Journaled.read_run" ~blocks:(size t)
+      ~payload_bytes:t.payload_size ~addr ~count ~payload ~buf ~off;
     if Hashtbl.length t.overlay = 0 then
       Backend.read_run t.inner ~addr ~count ~payload ~buf ~off
     else begin
@@ -557,7 +549,9 @@ module Journaled = struct
      next commit. A [write_many] group therefore commits — or rolls back
      — as a unit. *)
   let write_run t ~addr ~count ~payload ~buf ~off =
-    check_write t ~addr ~count ~payload ~buf ~off;
+    check_open t;
+    Backend.check_run ~who:"Backend.Journaled.write_run" ~blocks:(size t)
+      ~payload_bytes:t.payload_size ~addr ~count ~payload ~buf ~off;
     if count > 0 then begin
       append t ~addr ~count ~buf ~off;
       maybe_auto_commit t
@@ -583,10 +577,6 @@ module Journaled = struct
       Unix.close t.fd;
       Backend.close t.inner
     end
-
-  let faults t = Backend.faults_injected t.inner
-  let shard_ops t = Backend.shard_io_counts t.inner
-  let shard_count t = Backend.shard_count t.inner
 end
 
 let backend t = Backend.Packed ((module Journaled), t)

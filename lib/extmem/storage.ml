@@ -22,20 +22,34 @@ module Telemetry = Odex_telemetry.Telemetry
 
 type cipher_state = { st : Cipher.state; mutable next_nonce : int }
 
+(* What the composer built, with the handles it keeps: the stripe map
+   (which the per-server traces route through too) with its op counts,
+   and the counter of every [Faulty] layer, stripe members included. *)
+type stack = {
+  top : Backend.t;
+  journal : Journal.t option;
+  striped : (Backend.Stripe.t * (unit -> int array)) option;
+  fault_counts : (unit -> int) list;
+}
+
 (* ---- per-server traces.
 
    Under a [Sharded] spec each shard is a separate adversary: a
    non-colluding server sees only the inner-address op sequence routed to
    its own device, never the logical interleaving. The stripe's map
-   ({!Backend.Stripe}, same seed as the stripe backend) routes every
-   counted op (and counted retry) a second time into the trace of the
+   (the one {!Backend.Stripe.t} the stripe backend routes through) routes
+   every counted op (and counted retry) a second time into the trace of the
    shard that served it, at its inner address. Recording happens on the
    coordinator thread only (the stripe's worker domains move payloads,
    never accounting), uncounted ops are excluded exactly as they are from
    the logical trace, and the logical trace itself is untouched — every
    pinned digest survives. *)
 
-type shard_state = { stripe : Backend.Stripe.t; straces : Trace.t array }
+type shard_state = {
+  stripe : Backend.Stripe.t;
+  ops : unit -> int array;  (** The stripe's per-shard op counts. *)
+  straces : Trace.t array;
+}
 
 type t = {
   block_size : int;
@@ -52,13 +66,11 @@ type t = {
       (** Nonces below this are persisted as potentially spent (the store
           header's high-water mark); a crash can never roll the counter
           back below a nonce that hit the device. *)
-  max_retries : int;
-  backoff_base : float;
-  backoff_cap : float;
   journal : Journal.t option;
       (** The write-ahead journal handle, when the spec has a [Journaled]
           layer — owns the crash-atomicity and checkpoint machinery. *)
   shard : shard_state option;
+  fault_counts : (unit -> int) list;  (** One per [Faulty] layer of the stack. *)
   seal_domains : int;
   pool : Workers.t;
       (** The store's worker domains, shared by run sealing and the
@@ -67,93 +79,119 @@ type t = {
   mutable run_buf : Bigbuf.t;  (** Grows to the largest run requested; reused across calls. *)
 }
 
-(* The member spec of shard [i] under a [Sharded] spec: file paths get a
-   per-shard suffix (each shard is its own device and needs its own
-   file) and fault seeds are mixed with the shard index (each device
-   runs its own deterministic weather). Nesting Sharded in Sharded is
-   rejected — the striping math assumes one flat address refinement. *)
-let rec shard_member_spec i = function
-  | Mem -> Mem
-  | File { path } -> File { path = Printf.sprintf "%s.shard%d" path i }
-  | Faulty f ->
-      Faulty { f with inner = shard_member_spec i f.inner; seed = f.seed + ((i + 1) * 0x9E37) }
-  | Sharded _ -> invalid_arg "Storage: nested Sharded specs are not supported"
-  | Journaled _ ->
-      (* One journal (and one checkpoint slot) per store: compose the
-         journal OUTSIDE the stripe, where it sees logical addresses. *)
-      invalid_arg "Storage: Journaled inside Sharded is not supported (journal the stripe)"
-  | Crashing _ -> invalid_arg "Storage: Crashing inside Sharded is not supported"
+(* ---- the composer: the one place a [backend_spec] becomes a stack.
 
-(* Release what [instantiate] opened without writing anything: a
-   journal closes its own file and its inner stack. *)
+   [layers] is the only walk over a spec. It flattens the chain
+   outermost first and checks every stacking rule on the way, so a spec
+   that cannot be built is rejected before any device or journal file
+   opens. Opening and file removal then iterate that list. *)
+
+let rec layers ?(in_stripe = false) ?(in_journal = false) spec =
+  match spec with
+  | Mem | File _ -> [ spec ]
+  | Faulty { inner; _ } -> spec :: layers ~in_stripe ~in_journal inner
+  | Crashing { inner; _ } ->
+      if in_stripe then invalid_arg "Storage: Crashing inside Sharded is not supported";
+      spec :: layers ~in_stripe ~in_journal inner
+  | Sharded { inner; shards; _ } ->
+      (* The striping math assumes one flat address refinement. *)
+      if in_stripe then invalid_arg "Storage: nested Sharded specs are not supported";
+      if shards < 1 then invalid_arg "Storage: shards must be >= 1";
+      spec :: layers ~in_stripe:true ~in_journal inner
+  | Journaled { inner; _ } ->
+      (* One journal (and one checkpoint table) per store, outside the
+         stripe, where it sees logical addresses. *)
+      if in_stripe then
+        invalid_arg "Storage: Journaled inside Sharded is not supported (journal the stripe)";
+      if in_journal then invalid_arg "Storage: nested Journaled specs are not supported";
+      spec :: layers ~in_stripe ~in_journal:true inner
+
+let stripe_shards ls = List.find_map (function Sharded { shards; _ } -> Some shards | _ -> None) ls
+
+let member_path i path = Printf.sprintf "%s.shard%d" path i
+
+(* Release a built stack without writing anything: a journal closes its
+   own file and its inner stack. *)
 let release backend journal =
   match journal with Some j -> Journal.abandon j | None -> Backend.close backend
 
-(* Instantiation returns the backend plus the journal handle when the
-   spec tree contains a [Journaled] layer ([resume] decides whether that
-   journal replays its redo log or starts fresh). A layer that fails to
+(* Open the checked layers [ls] innermost first, one store per shard
+   below a stripe and one above it ([resume] decides whether a journal
+   replays its redo log or starts fresh). Each shard is its own device
+   with its own deterministic weather: file paths get a per-shard suffix
+   and fault seeds are mixed with the shard index. A layer that fails to
    open closes every store opened beneath it before re-raising. *)
-let rec instantiate ~pool ~payload_size ~engine ~resume ~auto_commit_bytes spec =
-  let sub = instantiate ~pool ~payload_size ~engine ~resume ~auto_commit_bytes in
-  match spec with
-  | Mem -> (Backend.mem ~payload_size (), None)
-  | File { path } -> (Backend.file ~path ~payload_size, None)
-  | Faulty { inner; seed; failure_rate; max_burst } ->
-      let b, j = sub inner in
-      (Backend.faulty { Backend.seed; failure_rate; max_burst } b, j)
-  | Crashing { inner; ops } ->
-      let b, j = sub inner in
-      (Backend.crash_after ~ops b, j)
-  | Sharded { inner; shards; seed } ->
-      if shards < 1 then invalid_arg "Storage: shards must be >= 1";
-      let opened = ref [] in
-      (match
-         for i = 0 to shards - 1 do
-           opened := fst (sub (shard_member_spec i inner)) :: !opened
-         done
-       with
-      | () -> ()
-      | exception e ->
-          List.iter Backend.close !opened;
-          raise e);
-      (Backend.sharded ~seed ~pool (Array.of_list (List.rev !opened)), None)
-  | Journaled { inner; path; durable } ->
-      let b, j = sub inner in
-      if Option.is_some j then begin
-        release b j;
-        invalid_arg "Storage: nested Journaled specs are not supported"
-      end;
-      let journal =
-        match
-          Journal.create ?auto_commit_bytes ~engine ~path ~payload_size ~durable ~replay:resume b
-        with
-        | journal -> journal
+let compose ~pool ~payload_size ~engine ~resume ~auto_commit_bytes ls =
+  let striped = ref None and journal = ref None and fault_counts = ref [] in
+  let k = stripe_shards ls in
+  let below_stripe () = k <> None && !striped = None in
+  let over level = function
+    | (Mem | File _) as l ->
+        let device i =
+          match l with
+          | File { path } ->
+              let path = if below_stripe () then member_path i path else path in
+              Backend.file ~path ~payload_size
+          | _ -> Backend.mem ~payload_size ()
+        in
+        let opened = ref [] in
+        (try
+           for i = 0 to Option.value k ~default:1 - 1 do
+             opened := device i :: !opened
+           done
+         with e ->
+           List.iter Backend.close !opened;
+           raise e);
+        Array.of_list (List.rev !opened)
+    | Faulty { seed; failure_rate; max_burst; _ } ->
+        Array.mapi
+          (fun i b ->
+            let seed = if below_stripe () then seed + ((i + 1) * 0x9E37) else seed in
+            let b, count = Backend.faulty { Backend.seed; failure_rate; max_burst } b in
+            fault_counts := count :: !fault_counts;
+            b)
+          level
+    | Crashing { ops; _ } -> Array.map (Backend.crash_after ~ops) level
+    | Sharded { shards; seed; _ } ->
+        let map = Backend.Stripe.create ~shards ~seed in
+        let b, ops = Backend.sharded ~stripe:map ~pool level in
+        striped := Some (map, ops);
+        [| b |]
+    | Journaled { path; durable; _ } ->
+        let j =
+          Journal.create ?auto_commit_bytes ~engine ~path ~payload_size ~durable ~replay:resume
+            level.(0)
+        in
+        journal := Some j;
+        [| Journal.backend j |]
+  in
+  let top =
+    List.fold_left
+      (fun level l ->
+        match over level l with
+        | above -> above
         | exception e ->
-            Backend.close b;
-            raise e
-      in
-      (Journal.backend journal, Some journal)
+            Array.iter Backend.close level;
+            raise e)
+      [||] (List.rev ls)
+  in
+  { top = top.(0); journal = !journal; striped = !striped; fault_counts = !fault_counts }
 
-(* The (shards, stripe seed) of the spec tree's [Sharded] layer, if any —
-   the routing parameters the per-server traces mirror. *)
-let rec stripe_of_spec = function
-  | Mem | File _ -> None
-  | Faulty { inner; _ } | Journaled { inner; _ } | Crashing { inner; _ } ->
-      stripe_of_spec inner
-  | Sharded { shards; seed; _ } -> Some (shards, seed)
-
-let rec remove_spec_files = function
-  | Mem -> ()
-  | File { path } -> if Sys.file_exists path then Sys.remove path
-  | Faulty { inner; _ } -> remove_spec_files inner
-  | Crashing { inner; _ } -> remove_spec_files inner
-  | Journaled { inner; path; _ } ->
-      if Sys.file_exists path then Sys.remove path;
-      remove_spec_files inner
-  | Sharded { inner; shards; _ } ->
-      for i = 0 to shards - 1 do
-        remove_spec_files (shard_member_spec i inner)
-      done
+let remove_spec_files spec =
+  let ls = layers spec in
+  let remove path = if Sys.file_exists path then Sys.remove path in
+  List.iter
+    (function
+      | File { path } -> (
+          match stripe_shards ls with
+          | None -> remove path
+          | Some k ->
+              for i = 0 to k - 1 do
+                remove (member_path i path)
+              done)
+      | Journaled { path; _ } -> remove path
+      | _ -> ())
+    ls
 
 (* ---- store header: the sealing state that must survive the process.
 
@@ -214,30 +252,27 @@ let parse_header ~block_size m =
   end
 
 let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = Trace.Digest)
-    ?(backend = Mem) ?(max_retries = 10) ?(backoff = (1e-6, 1e-4)) ?(seal_domains = 1)
-    ?(resume = false) ?journal_auto_commit_bytes ~block_size () =
+    ?(backend = Mem) ?(seal_domains = 1) ?(resume = false) ?journal_auto_commit_bytes
+    ~block_size () =
   if block_size < 1 then invalid_arg "Storage.create: block_size must be >= 1";
-  if max_retries < 1 then invalid_arg "Storage.create: max_retries must be >= 1";
   if seal_domains < 1 then invalid_arg "Storage.create: seal_domains must be >= 1";
-  let backoff_base, backoff_cap = backoff in
-  if backoff_base < 0. || backoff_cap < backoff_base then
-    invalid_arg "Storage.create: backoff must satisfy 0 <= base <= cap";
   let payload_size = 8 + Block.encoded_size block_size in
-  let stripe = stripe_of_spec backend in
+  let ls = layers backend in
   (* One pool serves both run sealing (seal_domains - 1 workers) and the
      stripe (shards - 1 workers); the two never run at once. *)
-  let shards = match stripe with Some (k, _) -> k | None -> 1 in
+  let shards = Option.value (stripe_shards ls) ~default:1 in
   let pool = Workers.create (max seal_domains shards - 1) in
-  let raw, journal =
+  let stack =
     match
-      instantiate ~pool ~payload_size ~engine:cipher_engine ~resume
-        ~auto_commit_bytes:journal_auto_commit_bytes backend
+      compose ~pool ~payload_size ~engine:cipher_engine ~resume
+        ~auto_commit_bytes:journal_auto_commit_bytes ls
     with
-    | opened -> opened
+    | stack -> stack
     | exception e ->
         Workers.close pool;
         raise e
   in
+  let raw = stack.top and journal = stack.journal in
   let kind = Backend.kind raw in
   let tel = Option.value telemetry ~default:Telemetry.disabled in
   (* The timing shim is installed only when the sink collects: a
@@ -281,20 +316,20 @@ let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = T
         Option.map (fun key -> { st = Cipher.init cipher_engine key; next_nonce = nonce_hw })
           cipher;
       nonce_reserved = nonce_hw;
-      max_retries;
-      backoff_base;
-      backoff_cap;
       journal;
       shard =
         (* Shard traces carry no telemetry sink of their own: phases are
            already timed once, through the logical trace's spans. *)
         Option.map
-          (fun (k, seed) ->
+          (fun (stripe, ops) ->
             {
-              stripe = Backend.Stripe.create ~shards:k ~seed;
-              straces = Array.init k (fun _ -> Trace.create trace_mode);
+              stripe;
+              ops;
+              straces =
+                Array.init (Backend.Stripe.shards stripe) (fun _ -> Trace.create trace_mode);
             })
-          stripe;
+          stack.striped;
+      fault_counts = stack.fault_counts;
       seal_domains;
       pool;
       seal_buf = Bigbuf.create payload_size;
@@ -313,10 +348,10 @@ let backend_kind t = t.kind
 let cipher_engine t = t.engine
 let sealed t = Option.is_some t.cipher
 let seal_domains t = t.seal_domains
-let faults_injected t = Backend.faults_injected t.backend
+let faults_injected t = List.fold_left (fun acc count -> acc + count ()) 0 t.fault_counts
 let scratch_bytes t = Bigbuf.length t.run_buf
-let shard_ios t = Backend.shard_io_counts t.backend
-let shard_count t = Backend.shard_count t.backend
+let shard_ios t = match t.shard with None -> [||] | Some sh -> sh.ops ()
+let shard_count t = Option.map (fun sh -> Backend.Stripe.shards sh.stripe) t.shard
 let shard_traces t = match t.shard with None -> [||] | Some sh -> sh.straces
 
 let shard_of t a = Option.map (fun sh -> Backend.Stripe.shard sh.stripe a) t.shard
@@ -604,14 +639,13 @@ let unseal_run t buf n out =
    run of [n] blocks therefore emits a trace bit-identical to [n] runs
    of one, which is what keeps obliviousness checkable by the
    pair-tester however the blocks travel. Attempts are counted per
-   block too: a fresh faulting block restarts at attempt 1. ---- *)
+   block too: a fresh faulting block restarts at attempt 1.
 
-let backoff t attempt =
-  let delay = Float.min t.backoff_cap (t.backoff_base *. Float.pow 2. (Float.of_int (attempt - 1))) in
-  (* A signal interrupting the sleep ends it early rather than aborting
-     the retry (restarting the full delay could livelock under a fast
-     signal clock; the backoff is advisory, the retry is not). *)
-  if delay > 0. then try Unix.sleepf delay with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+   Retries are immediate. The only source of [Backend.Transient] is the
+   fault injector, whose schedule advances with its access counter and
+   nothing else, so waiting between attempts would change no outcome. ---- *)
+
+let max_retries = 10
 
 let run_transfer t ~counted ~record_retry ~record ~addr ~n ~do_run =
   let fin = addr + n in
@@ -622,14 +656,13 @@ let run_transfer t ~counted ~record_retry ~record ~addr ~n ~do_run =
       | exception Backend.Transient { addr = fa; _ } ->
           for i = a to fa - 1 do record i done;
           let attempt = if fa > a then 1 else attempt in
-          if attempt >= t.max_retries then raise (Io_failure { addr = fa; attempts = attempt });
+          if attempt >= max_retries then raise (Io_failure { addr = fa; attempts = attempt });
           Telemetry.add_faults t.tel 1;
           if counted then begin
             Stats.record_retry t.stats;
             Telemetry.add_retries t.tel 1;
             record_retry t fa
           end;
-          backoff t attempt;
           go fa (attempt + 1)
   in
   go addr 1

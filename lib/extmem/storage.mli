@@ -13,16 +13,24 @@
     The bytes themselves live in a pluggable {!Backend}: in-memory (the
     default), file-backed (datasets larger than RAM; block images persist
     on the path), or a deterministic fault injector layered over either.
-    The accounting layer is backend-independent — the same algorithm run
-    performs the same counted I/Os on every backend — and transient
-    backend failures are absorbed here by retrying with capped
-    exponential backoff. Each failed attempt on a counted operation is
+    {!create} is the one place a {!backend_spec} becomes a stack of
+    backends. The accounting layer is backend-independent — the same
+    algorithm run performs the same counted I/Os on every backend — and
+    transient backend failures are absorbed here by retrying at once, up
+    to {!max_retries} attempts per block. Each failed attempt on a
+    counted operation is
     itself visible to Bob, so it is recorded in the trace (as
     [Retry_read]/[Retry_write]) and tallied in {!Stats.retries}; because
     a fault schedule depends only on its seed and the access index, the
     retries of an oblivious algorithm are as value-independent as its
     I/Os, and pair-tested traces must still be identical. *)
 
+(** A backend stack, outermost layer first. {!create} checks the
+    stacking rules below before it opens any device or journal file and
+    rejects a bad spec with [Invalid_argument], one message per rule:
+    no [Sharded] inside [Sharded] (["Storage: nested Sharded specs are
+    not supported"]), no [Journaled] or [Crashing] inside [Sharded], no
+    [Journaled] inside [Journaled], and [shards >= 1]. *)
 type backend_spec =
   | Mem  (** In-process array; contents die with the process. *)
   | File of { path : string }
@@ -32,7 +40,7 @@ type backend_spec =
   | Faulty of { inner : backend_spec; seed : int; failure_rate : float; max_burst : int }
       (** Decorator injecting deterministic transient faults into
           [inner]; see {!Backend.fault_plan}. [max_burst] must stay
-          below [max_retries] or accesses inside a burst exhaust their
+          below {!max_retries} or accesses inside a burst exhaust their
           retry budget. *)
   | Sharded of { inner : backend_spec; shards : int; seed : int }
       (** Stripe the address space across [shards] instances of [inner]
@@ -42,8 +50,8 @@ type backend_spec =
           {!Backend.sharded}. The fan-out
           is a keyed PRP of the block index, so the {e logical} trace —
           and therefore every obliviousness guarantee — is bit-identical
-          to the single-shard run at every shard count. Nesting
-          [Sharded] inside [Sharded] is rejected; composing [Faulty]
+          to the single-shard run at every shard count. Only [Mem],
+          [File] and [Faulty] may sit inside it; composing [Faulty]
           {e outside} [Sharded] preserves exact trace parity with the
           unsharded faulty store (the fault gate iterates per logical
           block either way). *)
@@ -71,6 +79,13 @@ exception Io_failure of { addr : int; attempts : int }
 (** A counted or uncounted operation kept failing after [attempts]
     tries: the fault outlasted the retry budget. *)
 
+val max_retries : int
+(** The retry budget: a block that keeps faulting gets this many
+    attempts (10), the last of which raises {!Io_failure}. Retries are
+    immediate, with no sleep in between: {!Backend.Transient} comes only
+    from the fault injector, whose schedule advances with its access
+    counter alone, so waiting would change nothing. *)
+
 type t
 
 val create :
@@ -79,8 +94,6 @@ val create :
   ?telemetry:Odex_telemetry.Telemetry.t ->
   ?trace_mode:Trace.mode ->
   ?backend:backend_spec ->
-  ?max_retries:int ->
-  ?backoff:float * float ->
   ?seal_domains:int ->
   ?resume:bool ->
   ?journal_auto_commit_bytes:int ->
@@ -88,10 +101,9 @@ val create :
   unit ->
   t
 (** Fresh empty disk. [trace_mode] defaults to [Digest]; [backend] to
-    [Mem]. A transient backend failure is retried up to [max_retries]
-    times (default 10), sleeping [min cap (base *. 2. ** attempts)]
-    seconds between attempts where [backoff = (base, cap)] (default
-    [1e-6, 1e-4] — real but negligible delays).
+    [Mem]. The spec's stacking rules (see {!backend_spec}) are checked
+    before anything opens; a transient backend failure is retried at
+    once, up to {!max_retries} attempts per block.
 
     [cipher_engine] (default [Prf_xor]) selects the keystream generator
     blocks are sealed under when a [cipher] key is supplied — see
@@ -184,7 +196,7 @@ val seal_domains : t -> int
 val shard_ios : t -> int array
 (** Per-shard counts of block ops served by a [Sharded] backend ([[||]]
     otherwise) — the adversary's per-device view; see
-    {!Backend.shard_io_counts}. *)
+    {!Backend.sharded}. *)
 
 val shard_count : t -> int option
 (** [Some k] when the backend spec has a [Sharded] layer of [k] members
@@ -380,5 +392,7 @@ val unchecked_poke : t -> int -> Block.t -> unit
 
 val remove_spec_files : backend_spec -> unit
 (** Delete the files behind a spec — [File] stores, shard members and
-    [Journaled] journals (recursing through every decorator) — if any.
-    Harness cleanup helper. *)
+    [Journaled] journals, through every decorator — if any. Harness
+    cleanup helper. Raises [Invalid_argument] on a spec that breaks a
+    stacking rule (see {!backend_spec}); {!create} never opens a file
+    for one. *)

@@ -92,12 +92,9 @@ let pair_inputs_isomorphic ~seed ~n =
    storage is closed before returning so a file-backed pair can reuse one
    path for both runs. *)
 let execute ?telemetry ?cipher ?cipher_engine ?seal_domains subject ~backend ~b ~m ~seed cells =
-  (* Zero backoff: the harness compares traces, not wall-clock, and a
-     fuzzed faulty backend injects thousands of retries per run —
-     sleeping through real (if tiny) delays would dominate the suite. *)
   let s =
     Storage.create ?telemetry ?cipher ?cipher_engine ?seal_domains ~trace_mode:Trace.Digest
-      ~backend ~backoff:(0., 0.) ~block_size:b ()
+      ~backend ~block_size:b ()
   in
   let kind = Storage.backend_kind s in
   Fun.protect

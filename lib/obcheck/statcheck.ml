@@ -97,7 +97,7 @@ let trace_distribution ?(samples = 200) ?(bins = 64) ?(z = 3.29) subject ~n_cell
   if bins < 2 then invalid_arg "Statcheck.trace_distribution: need >= 2 bins";
   let cells_a, cells_b = Pairtest.pair_inputs ~seed:0x57A7 ~n:n_cells in
   let run cells seed acc =
-    let s = Storage.create ~trace_mode:Trace.Full ~backoff:(0., 0.) ~block_size:b () in
+    let s = Storage.create ~trace_mode:Trace.Full ~block_size:b () in
     Fun.protect
       ~finally:(fun () -> Storage.close s)
       (fun () ->
@@ -163,7 +163,7 @@ let shard_distribution ?(samples = 200) ?(bins = 64) ?(z = 3.29) ?(shards = 2)
   let cells_a, cells_b = Pairtest.pair_inputs ~seed:0x57A7 ~n:n_cells in
   let run cells seed accs =
     let backend = Storage.Sharded { inner = Storage.Mem; shards; seed = stripe_seed } in
-    let s = Storage.create ~trace_mode:Trace.Full ~backoff:(0., 0.) ~backend ~block_size:b () in
+    let s = Storage.create ~trace_mode:Trace.Full ~backend ~block_size:b () in
     Fun.protect
       ~finally:(fun () -> Storage.close s)
       (fun () ->

@@ -2,6 +2,7 @@
    I/O accounting, and oblivious fault handling. *)
 
 open Odex_extmem
+module Bigbuf = Odex_crypto.Bigbuf
 
 let with_temp_store f =
   let path = Filename.temp_file "odex_test" ".store" in
@@ -15,7 +16,7 @@ let test_backend_kinds () =
       let b = Backend.file ~path ~payload_size:16 in
       Alcotest.(check string) "file" "file" (Backend.kind b);
       Backend.close b;
-      let f =
+      let f, _ =
         Backend.faulty
           { Backend.seed = 1; failure_rate = 0.5; max_burst = 2 }
           (Backend.mem ~payload_size:16 ())
@@ -143,15 +144,18 @@ let test_faulty_deterministic () =
   Alcotest.(check int) "same retries" retries_a retries_b;
   Alcotest.(check int) "same injected faults" faults_a faults_b
 
+(* Seed 0 at rate 1.0 opens with a 48-access burst (bursts run 1..64
+   here), longer than the fixed budget: the very first gated operation,
+   the zero-init write of the first allocated block, exhausts it. *)
+let long_burst =
+  Storage.Faulty { inner = Storage.Mem; seed = 0; failure_rate = 1.0; max_burst = 64 }
+
 let test_retry_budget_exhausted () =
-  let s =
-    Storage.create ~backend:always_faulty ~max_retries:1 ~backoff:(0., 0.) ~block_size:2 ()
-  in
-  (* With a single attempt allowed, the very first gated operation (the
-     zero-init write of the first allocated block) outlasts the budget. *)
+  let s = Storage.create ~backend:long_burst ~block_size:2 () in
   Alcotest.check_raises "fault outlasts the budget"
-    (Storage.Io_failure { addr = 0; attempts = 1 })
-    (fun () -> ignore (Storage.alloc s 1))
+    (Storage.Io_failure { addr = 0; attempts = Storage.max_retries })
+    (fun () -> ignore (Storage.alloc s 1));
+  Alcotest.(check int) "every attempt faulted" Storage.max_retries (Storage.faults_injected s)
 
 let test_unchecked_ops_retry_silently () =
   let s = Storage.create ~trace_mode:Trace.Full ~backend:always_faulty ~block_size:2 () in
@@ -522,7 +526,7 @@ let test_eintr_retried () =
    window, not just reads/writes. *)
 let test_span_reports_all_counters () =
   let s =
-    Storage.create ~backend:always_faulty ~backoff:(0., 0.) ~trace_mode:Trace.Digest
+    Storage.create ~backend:always_faulty ~trace_mode:Trace.Digest
       ~block_size:2 ()
   in
   let base = Storage.alloc s 4 in
@@ -551,6 +555,178 @@ let test_remove_spec_files () =
   Storage.remove_spec_files spec;
   Alcotest.(check bool) "file removed through the decorator" false (Sys.file_exists path)
 
+(* ---------------- the Backend.S run contract ---------------- *)
+
+let contract_payload = 8
+
+(* Every implementation of [Backend.S] over fresh in-memory devices, each
+   with the cleanup that releases it. *)
+let contract_stores =
+  let mem () = Backend.mem ~payload_size:contract_payload () in
+  let plain b = (b, fun () -> Backend.close b) in
+  [
+    ("mem", fun () -> plain (mem ()));
+    ( "file",
+      fun () ->
+        let path = Filename.temp_file "odex_test" ".store" in
+        let b = Backend.file ~path ~payload_size:contract_payload in
+        ( b,
+          fun () ->
+            Backend.close b;
+            Sys.remove path ) );
+    ( "faulty",
+      fun () ->
+        plain (fst (Backend.faulty { Backend.seed = 1; failure_rate = 0.; max_burst = 1 } (mem ())))
+    );
+    ( "sharded",
+      fun () ->
+        let pool = Workers.create 1 in
+        let b, _ =
+          Backend.sharded ~stripe:(Backend.Stripe.create ~shards:2 ~seed:7) ~pool
+            [| mem (); mem () |]
+        in
+        ( b,
+          fun () ->
+            Backend.close b;
+            Workers.close pool ) );
+    ( "instrumented",
+      fun () -> plain (Backend.instrument (Odex_telemetry.Telemetry.create ()) (mem ())) );
+    ("crashing", fun () -> plain (Backend.crash_after ~ops:1_000 (mem ())));
+    ( "journaled",
+      fun () ->
+        let path = Filename.temp_file "odex_test" ".journal" in
+        let j =
+          Journal.create ~path ~payload_size:contract_payload ~durable:false ~replay:false (mem ())
+        in
+        let b = Journal.backend j in
+        ( b,
+          fun () ->
+            (* Every write of the test was served by the overlay. *)
+            Alcotest.(check bool) "journaled: overlay still pending" true
+              (Journal.pending_bytes j > 0);
+            Backend.close b;
+            Sys.remove path ) );
+  ]
+
+(* Each implementation refuses a bad run with [Invalid_argument] before
+   any byte moves — the caller's buffer and the store keep their
+   contents — and treats [count = 0] as a validated no-op. *)
+let test_run_contract () =
+  let p = contract_payload in
+  let image = Bytes.init (4 * p) (fun i -> Char.chr (i land 0xFF)) in
+  let bad =
+    [
+      ("run past the end", 3, 2, p, 2 * p, 0);
+      ("negative address", -1, 1, p, p, 0);
+      ("negative count", 0, -1, p, p, 0);
+      ("short payload", 0, 1, p - 1, 4 * p, 0);
+      ("long payload", 0, 1, p + 1, 4 * p, 0);
+      ("buffer too short", 0, 4, p, (4 * p) - 1, 0);
+      ("buffer offset overrun", 0, 4, p, 4 * p, 1);
+      ("empty run past the end", 5, 0, p, p, 0);
+    ]
+  in
+  List.iter
+    (fun (name, open_store) ->
+      let b, release = open_store () in
+      Fun.protect ~finally:release (fun () ->
+          Backend.ensure b 4;
+          Backend.write_run b ~addr:0 ~count:4 ~payload:p ~buf:(Bigbuf.of_bytes image) ~off:0;
+          let contents () =
+            let out = Bigbuf.create (4 * p) in
+            Backend.read_run b ~addr:0 ~count:4 ~payload:p ~buf:out ~off:0;
+            Bigbuf.to_bytes out
+          in
+          let unmoved what ~sentinel buf =
+            Alcotest.(check bytes) (what ^ ": buffer untouched") sentinel (Bigbuf.to_bytes buf);
+            Alcotest.(check bytes) (what ^ ": store untouched") image (contents ())
+          in
+          List.iter
+            (fun (case, addr, count, payload, len, off) ->
+              List.iter
+                (fun (dir, run) ->
+                  let what = Printf.sprintf "%s: %s %s" name case dir in
+                  let sentinel = Bytes.make len '\xa5' in
+                  let buf = Bigbuf.of_bytes sentinel in
+                  Alcotest.(check bool) (what ^ " raises Invalid_argument") true
+                    (match run b ~addr ~count ~payload ~buf ~off with
+                    | () -> false
+                    | exception Invalid_argument _ -> true);
+                  unmoved what ~sentinel buf)
+                [ ("read", Backend.read_run); ("write", Backend.write_run) ])
+            bad;
+          let sentinel = Bytes.make p '\xa5' in
+          let buf = Bigbuf.of_bytes sentinel in
+          Backend.read_run b ~addr:4 ~count:0 ~payload:p ~buf ~off:0;
+          unmoved (name ^ ": empty read") ~sentinel buf;
+          Backend.write_run b ~addr:1 ~count:0 ~payload:p ~buf ~off:0;
+          unmoved (name ^ ": empty write") ~sentinel buf))
+    contract_stores
+
+(* ---------------- stacking rules ---------------- *)
+
+(* Every spec [Storage.create] cannot build is refused with its rule's
+   one message before anything opens: no file appears and no descriptor
+   leaks. *)
+let test_stacking_rules () =
+  let dir = Filename.temp_dir "odex_spec" "" in
+  let at name = Filename.concat dir name in
+  let file = Storage.File { path = at "store" } in
+  let open_fds () =
+    if Sys.file_exists "/proc/self/fd" then Some (Array.length (Sys.readdir "/proc/self/fd"))
+    else None
+  in
+  let cases =
+    [
+      ( "Sharded in Sharded",
+        Storage.Sharded
+          { inner = Storage.Sharded { inner = file; shards = 2; seed = 1 }; shards = 2; seed = 2 },
+        "Storage: nested Sharded specs are not supported" );
+      ( "Journaled in Sharded",
+        Storage.Sharded
+          {
+            inner = Storage.Journaled { inner = file; path = at "journal"; durable = false };
+            shards = 2;
+            seed = 1;
+          },
+        "Storage: Journaled inside Sharded is not supported (journal the stripe)" );
+      ( "Crashing in Sharded",
+        Storage.Sharded
+          { inner = Storage.Crashing { inner = file; ops = 10 }; shards = 2; seed = 1 },
+        "Storage: Crashing inside Sharded is not supported" );
+      ( "Journaled in Journaled",
+        Storage.Journaled
+          {
+            inner = Storage.Journaled { inner = file; path = at "inner.journal"; durable = false };
+            path = at "outer.journal";
+            durable = false;
+          },
+        "Storage: nested Journaled specs are not supported" );
+      ( "zero shards",
+        Storage.Journaled
+          {
+            inner = Storage.Sharded { inner = file; shards = 0; seed = 1 };
+            path = at "journal";
+            durable = false;
+          },
+        "Storage: shards must be >= 1" );
+    ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (at f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun (name, backend, msg) ->
+          let fds = open_fds () in
+          Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+              ignore (Storage.create ~backend ~block_size:4 ()));
+          Alcotest.(check (list string))
+            (name ^ ": no file created") [] (Array.to_list (Sys.readdir dir));
+          Alcotest.(check (option int)) (name ^ ": no descriptor leaked") fds (open_fds ()))
+        cases)
+
 let suite =
   [
     ("backend kinds", `Quick, test_backend_kinds);
@@ -575,4 +751,6 @@ let suite =
     ("EINTR retried across the whole I/O surface", `Quick, test_eintr_retried);
     ("stats span carries every counter", `Quick, test_span_reports_all_counters);
     ("remove_spec_files", `Quick, test_remove_spec_files);
+    ("run contract over every implementation", `Quick, test_run_contract);
+    ("stacking rules checked before anything opens", `Quick, test_stacking_rules);
   ]

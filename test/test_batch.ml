@@ -43,7 +43,7 @@ let reference =
 let run_entry ~spec (e : Odex_obcheck.Registry.entry) =
   let cells, _ = Odex_obcheck.Pairtest.pair_inputs ~seed:0xBA7C4 ~n:e.n_cells in
   let s =
-    Storage.create ~trace_mode:Trace.Digest ~backend:spec ~backoff:(0., 0.) ~block_size:e.b ()
+    Storage.create ~trace_mode:Trace.Digest ~backend:spec ~block_size:e.b ()
   in
   Fun.protect
     ~finally:(fun () -> Storage.close s)
@@ -150,7 +150,7 @@ let test_many_parity_under_faults () =
   let faulty = Storage.Faulty { inner = Storage.Mem; seed = 3; failure_rate = 1.0; max_burst = 1 } in
   let run ~write ~read =
     let s =
-      Storage.create ~trace_mode:Trace.Full ~backend:faulty ~backoff:(0., 0.) ~block_size:2 ()
+      Storage.create ~trace_mode:Trace.Full ~backend:faulty ~block_size:2 ()
     in
     let base = Storage.alloc s 8 in
     write s base (Array.init 8 (fun i -> block_of_int 2 (i + 1)));
@@ -222,7 +222,7 @@ let test_faulty_run_resume_contract () =
      fall before the resume point (those blocks are already transferred),
      and resuming there must finish the run with one fault per block. *)
   let plan = { Backend.seed = 5; failure_rate = 1.0; max_burst = 1 } in
-  let bk = Backend.faulty plan (Backend.mem ~payload_size:8 ()) in
+  let bk, faults_injected = Backend.faulty plan (Backend.mem ~payload_size:8 ()) in
   Backend.ensure bk 4;
   let payload = 8 in
   let src = Bigbuf.of_bytes (Bytes.init (4 * payload) (fun i -> Char.chr (i land 0xFF))) in
@@ -251,17 +251,16 @@ let test_faulty_run_resume_contract () =
   Alcotest.(check int) "one read fault per block" 4 rf;
   Alcotest.(check bytes) "resumed run transferred every block" (Bigbuf.to_bytes src)
     (Bigbuf.to_bytes out);
-  Alcotest.(check int) "every fault was raised through the runs" 8 (Backend.faults_injected bk);
+  Alcotest.(check int) "every fault was raised through the runs" 8 (faults_injected ());
   (* An out-of-bounds run is refused before the first gate: no fault
      schedule advance, no transfer. *)
-  let faults_before = Backend.faults_injected bk in
+  let faults_before = faults_injected () in
   Alcotest.(check bool) "oob refused" true
     (try
        Backend.read_run bk ~addr:2 ~count:5 ~payload ~buf:(Bigbuf.create (5 * payload)) ~off:0;
        false
      with Invalid_argument _ -> true);
-  Alcotest.(check int) "refused run consumed no accesses" faults_before
-    (Backend.faults_injected bk)
+  Alcotest.(check int) "refused run consumed no accesses" faults_before (faults_injected ())
 
 (* ---------------- cache runs ---------------- *)
 

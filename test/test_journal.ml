@@ -56,6 +56,26 @@ let test_append_commit_bookkeeping () =
       Alcotest.(check bytes) "run block" (payload 12) (Backend.read b 5);
       Backend.close b)
 
+(* A read that overruns the store is refused whole, even when the
+   overlay could serve its first block: no pending block reaches the
+   caller's buffer before the rest of the run is rejected. *)
+let test_overlay_read_overrun_refused () =
+  with_temp_pair (fun _ jp ->
+      let j =
+        Journal.create ~path:jp ~payload_size:16 ~durable:false ~replay:false
+          (Backend.mem ~payload_size:16 ())
+      in
+      let b = Journal.backend j in
+      Backend.ensure b 4;
+      Backend.write b 3 (payload 3);
+      let sentinel = Bytes.make 32 '\xa5' in
+      let buf = Odex_crypto.Bigbuf.of_bytes sentinel in
+      Alcotest.check_raises "overrunning read refused"
+        (Invalid_argument "Backend.Journaled.read_run: run [3, 5) out of bounds (4 blocks)")
+        (fun () -> Backend.read_run b ~addr:3 ~count:2 ~payload:16 ~buf ~off:0);
+      Alcotest.(check bytes) "buffer untouched" sentinel (Odex_crypto.Bigbuf.to_bytes buf);
+      Backend.close b)
+
 let test_auto_commit_bounds_tail () =
   with_temp_pair (fun sp jp ->
       let inner = Backend.file ~path:sp ~payload_size:16 in
@@ -1384,6 +1404,7 @@ let test_oram_session_resume_points () =
 let suite =
   [
     ("append/commit bookkeeping", `Quick, test_append_commit_bookkeeping);
+    ("overlay read past the end refused whole", `Quick, test_overlay_read_overrun_refused);
     ("auto-commit bounds the tail", `Quick, test_auto_commit_bounds_tail);
     ("replay heals a crashed apply", `Quick, test_replay_heals_crashed_apply);
     ("torn tail and corrupt record discarded", `Quick, test_torn_tail_discarded);

@@ -11,7 +11,7 @@ let sub name run = { Pairtest.name; run }
 let stripe ?(seed = 0x5A4D) k = Storage.Sharded { inner = Storage.Mem; shards = k; seed }
 
 let mk_store ?(k = 2) () =
-  Storage.create ~trace_mode:Trace.Digest ~backend:(stripe k) ~backoff:(0., 0.)
+  Storage.create ~trace_mode:Trace.Digest ~backend:(stripe k)
     ~block_size:4 ()
 
 (* --- the full registry under the per-server tier ------------------- *)

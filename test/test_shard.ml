@@ -87,7 +87,7 @@ let test_roundtrip_shards () =
    between backends is the sharding layer's fault. *)
 let run_subject (e : Registry.entry) backend =
   let s =
-    Storage.create ~trace_mode:Trace.Digest ~backend ~backoff:(0., 0.) ~block_size:e.b ()
+    Storage.create ~trace_mode:Trace.Digest ~backend ~block_size:e.b ()
   in
   Fun.protect
     ~finally:(fun () -> Storage.close s)
@@ -243,13 +243,13 @@ let test_stripe_fault_contract () =
   let pool = Workers.create (k - 1) in
   Fun.protect ~finally:(fun () -> Workers.close pool) @@ fun () ->
   let devices = Array.init k (fun _ -> Backend.mem ~payload_size:stripe_payload ()) in
-  let stripe =
-    Backend.sharded ~seed:stripe_seed ~pool
-      (Array.mapi (fun i d -> Backend.faulty (fault_plan i) d) devices)
+  let stripe, _ =
+    Backend.sharded ~stripe:stripe_map ~pool
+      (Array.mapi (fun i d -> fst (Backend.faulty (fault_plan i) d)) devices)
   in
   let twins =
     Array.init k (fun i ->
-        Backend.faulty (fault_plan i) (Backend.mem ~payload_size:stripe_payload ()))
+        fst (Backend.faulty (fault_plan i) (Backend.mem ~payload_size:stripe_payload ())))
   in
   Backend.ensure stripe n;
   Array.iter (fun tw -> Backend.ensure tw (n / k)) twins;
@@ -298,11 +298,11 @@ let test_stripe_fault_contract () =
   (* A non-transient failure is a bug, not weather: it wins over the
      transients the other shards raise in the same run. *)
   let always = { Backend.seed = 1; failure_rate = 1.0; max_burst = 1 } in
-  let broken =
-    Backend.sharded ~seed:stripe_seed ~pool
+  let broken, _ =
+    Backend.sharded ~stripe:stripe_map ~pool
       (Array.init k (fun i ->
            let d = Backend.mem ~payload_size:stripe_payload () in
-           if i = k - 1 then Backend.crash_after ~ops:0 d else Backend.faulty always d))
+           if i = k - 1 then Backend.crash_after ~ops:0 d else fst (Backend.faulty always d)))
   in
   Backend.ensure broken n;
   Alcotest.check_raises "non-transient beats transient" Backend.Crashed (fun () ->
@@ -320,7 +320,7 @@ let test_storage_over_faulty_stripe () =
         seed = stripe_seed;
       }
   in
-  let s = Storage.create ~backend ~backoff:(0., 0.) ~block_size:4 () in
+  let s = Storage.create ~backend ~block_size:4 () in
   Fun.protect ~finally:(fun () -> Storage.close s) @@ fun () ->
   let n = 64 in
   let base = Storage.alloc s n in

@@ -180,7 +180,7 @@ let test_retry_and_fault_attribution () =
     Storage.Faulty { inner = Storage.Mem; seed = 3; failure_rate = 1.0; max_burst = 1 }
   in
   let s =
-    Storage.create ~telemetry:tel ~backend ~backoff:(0., 0.) ~trace_mode:Trace.Digest
+    Storage.create ~telemetry:tel ~backend ~trace_mode:Trace.Digest
       ~block_size:2 ()
   in
   Alcotest.(check string) "kind is the device's, not the shim's" "faulty"
